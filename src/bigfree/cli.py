@@ -239,6 +239,8 @@ def _cmd_embed_compare(args) -> int:
     al = _alphabet(args)
     w = parse_word(args.word, al)
     index, _ = parse_letter_token(args.letter, al)
+    if args.points < 1:
+        raise BigFreeError(f"--points must be at least 1, got {args.points}")
     t_grid = [Fraction(k, args.points) for k in range(args.points + 1)]
     report = embed_compare(w, index, t_grid=t_grid)
     lines = [

@@ -227,7 +227,7 @@ class LexVector:
             if ia == ib:
                 s = va + vb
                 if s != 0:
-                    out.append((ia, _norm_coord(s)))
+                    out.append((ia, s if type(s) is int else _norm_coord(s)))
                 i += 1
                 j += 1
             elif ia < ib:

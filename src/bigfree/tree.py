@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 from .ordered_abelian import (
     Alphabet,
     BigFreeError,
+    HalfError,
     LexVector,
     OMEGA,
     ParseError,
@@ -176,7 +177,7 @@ def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[Axio
             two_c = lengths[i] + lengths[j] - oracle.length(oracle.multiply(gi_inv, elems[j]))
             try:
                 half_exact(two_c)
-            except Exception:
+            except HalfError:
                 return AxiomViolation(
                     "integrality", (elems[i], elems[j]),
                     f"2 c(g,h) = {two_c} is not evenly divisible")

@@ -91,28 +91,37 @@ TriplePoint = Union[EdgeTriple, Word]
 
 
 def to_triple(p: TreePoint) -> TriplePoint:
-    """Canonical coordinates of a tree point.
+    """Canonical coordinates of a tree point, in one pass over its word.
 
-    Scans initial segments of the point's word for the first one whose
-    length vector reaches the offset; an exact hit is the degenerate word
-    form, otherwise the point lies strictly inside the edge entered by the
-    next letter.
+    The first initial segment whose length vector reaches the offset n
+    decides: an exact hit is the degenerate word form, otherwise the point
+    lies strictly inside the edge entered by that segment's last letter.
+    The scan keeps d = n - L(prefix) per index and the sign of d at its
+    least nonzero index.  d only falls, so the least positive index is a
+    pointer into n's sorted support and the least negative index a running
+    minimum; the prefix reaches n once d is zero or negative there.
     """
     if p.n.is_zero():
         return IDENTITY
-    counts: dict = {}
-    prev_len = ZERO
-    for i, (idx, sign) in enumerate(p.g.letters):
-        counts[idx] = counts.get(idx, 0) + 1
-        cur = LexVector(counts)
-        rel = cur.compare(p.n)
-        if rel >= 0:
-            prefix = Word._make(p.g.letters[:i + 1], True)
-            if rel == 0:
-                return prefix
-            base = Word._make(p.g.letters[:i], True)
-            return EdgeTriple(base, idx, sign, p.n - prev_len)
-        prev_len = cur
+    entries = p.n.entries
+    diff = dict(entries)
+    neg = next((idx for idx, v in entries if v < 0), None)  # least index with d < 0
+    k = 0  # entries[k] is the least index with d > 0, once the skip below has run
+    letters = p.g.letters
+    for i, (idx, sign) in enumerate(letters):
+        d = diff.get(idx, 0) - 1
+        diff[idx] = d
+        if d < 0 and (neg is None or idx < neg):
+            neg = idx
+        while k < len(entries) and diff[entries[k][0]] <= 0:
+            k += 1
+        if k < len(entries) and (neg is None or entries[k][0] < neg):
+            continue  # n - L(prefix) > 0
+        if neg is None:
+            return Word._make(letters[:i + 1], True)
+        diff[idx] = d + 1  # back to n - L(base)
+        t = LexVector._make(tuple(sorted((j, v) for j, v in diff.items() if v)))
+        return EdgeTriple(Word._make(letters[:i], True), idx, sign, t)
     raise AssertionError("offset within [0, L(g)] must be reached by some prefix")
 
 

@@ -77,6 +77,13 @@ def test_embed_compare(capsys):
     assert "endpoints-only: true" in out
 
 
+def test_embed_compare_rejects_an_empty_grid(capsys):
+    for points in ("0", "-3"):
+        code, out, err = run(capsys, "embed-compare", "a1", "a1", "--points", points)
+        assert (code, out) == (1, "")
+        assert err == f"error: --points must be at least 1, got {points}\n"
+
+
 def test_ball_dot_and_json(capsys):
     code, dot, _ = run(capsys, "ball", "1", "3", "--dot")
     assert code == 0 and dot.startswith("digraph ball {") and dot.count("->") == 6

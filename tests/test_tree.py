@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+import bigfree.tree
 from bigfree.ordered_abelian import BigFreeError, LexVector, ZERO
 from bigfree.sampling import enumerate_reduced_words, random_reduced_word, random_tree_point
 from bigfree.tree import (
@@ -238,6 +239,27 @@ def test_broken_oracle_violates_axiom_one():
     assert violation is not None
     assert violation.axiom == "axiom1"
     assert violation.elements == (IDENTITY,)
+
+
+def test_length_axiom_checker_lets_defects_propagate(monkeypatch):
+    # only a failed halving is an integrality violation; any other error is a defect
+    base = bf_length_oracle()
+
+    def defective_length(g):
+        if len(g.letters) > 2:
+            raise TypeError("defective length")
+        return length_vector(g)
+
+    broken = LengthOracle(base.multiply, base.inverse, base.identity, defective_length)
+    with pytest.raises(TypeError, match="defective length"):
+        check_length_axioms(broken, enumerate_reduced_words(2, 2))
+
+    def defective_half(x):
+        raise TypeError("defective halving")
+
+    monkeypatch.setattr(bigfree.tree, "half_exact", defective_half)
+    with pytest.raises(TypeError, match="defective halving"):
+        check_length_axioms(base, enumerate_reduced_words(2, 2))
 
 
 def test_free_abelian_rank_two_violates_ultrametric_at_a_b_ab():

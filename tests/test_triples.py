@@ -3,6 +3,7 @@
 from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bigfree.ordered_abelian import BigFreeError, LexVector, TOP, ZERO
 from bigfree.sampling import (
@@ -30,7 +31,7 @@ from bigfree.triples import (
     triple_dist,
     triple_dist_report,
 )
-from bigfree.words import IDENTITY, length_vector, multiply, parse_word, subwords
+from bigfree.words import IDENTITY, Word, length_vector, multiply, parse_word, subwords
 
 
 def W(text):
@@ -84,6 +85,57 @@ def test_to_triple_first_prefix_tie_breaks_toward_shorter_words():
     # the exact-length prefix must win even when it ends in a later letter
     p = TreePoint(vec(1, 1), W("a1 a2 a2 a1"))
     assert to_triple(p) == W("a1 a2")
+
+
+def first_prefix_triple(p: TreePoint):
+    """Reference extraction: a lexicographic compare of each prefix, shortest first."""
+    if p.n.is_zero():
+        return IDENTITY
+    prefixes = subwords(p.g)
+    for base, prefix in zip(prefixes, prefixes[1:]):
+        rel = length_vector(prefix).compare(p.n)
+        if rel == 0:
+            return prefix
+        if rel > 0:
+            idx, sign = prefix.letters[-1]
+            return EdgeTriple(base, idx, sign, p.n - length_vector(base))
+    raise AssertionError("offset beyond L(g)")
+
+
+_LONG_LETTERS = [(idx, sign) for idx in (1, 2, 3, 4, 5, TOP) for sign in (1, -1)]
+_TAIL = st.fractions(-3, 3, max_denominator=3)
+
+
+@st.composite
+def long_tree_points(draw):
+    """Points on reduced words of 500+ letters over a1..a5 and b.
+
+    The offset reaches a random prefix, then goes part of the way into the
+    next edge: a Fraction at the edge letter plus lower-order coordinates,
+    TOP among them.
+    """
+    letters = []
+    for lt in draw(st.lists(st.sampled_from(_LONG_LETTERS), min_size=500, max_size=600)):
+        if letters and lt == (letters[-1][0], -letters[-1][1]):
+            lt = letters[-1]  # repeat instead of cancelling, so the word stays reduced
+        letters.append(lt)
+    g = Word._make(tuple(letters), True)
+    cut = draw(st.integers(0, len(letters)))
+    n = length_vector(Word._make(g.letters[:cut], True))
+    if cut < len(letters):
+        idx = letters[cut][0]
+        lower = [] if idx is TOP else [(idx + 1, draw(_TAIL)), (TOP, draw(_TAIL))]
+        extra = LexVector([(idx, draw(st.fractions(0, 1, max_denominator=7)))] + lower)
+        if ZERO < extra < LexVector.unit(idx):
+            n = n + extra
+    return TreePoint(n, g)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(long_tree_points())
+def test_to_triple_matches_first_prefix_scan_on_long_words(p):
+    assert to_triple(p) == first_prefix_triple(p)
 
 
 def test_from_triple_examples():
@@ -271,6 +323,14 @@ def test_top_edge_instability_uses_a_fresh_letter_each_depth():
         assert coords.edge_letter() == (k, 1)
         assert coords.w == IDENTITY
         assert coords.t == LexVector.unit(TOP)
+
+
+def test_top_edge_instability_table_is_unchanged():
+    rows = [(k, str(w), format_triple(e)) for k, w, e in top_edge_instability(8)]
+    assert rows == [
+        (k, " ".join(f"a{i}" for i in range(k, 0, -1)), f"( ; a{k}^1 ; [;TOP=1])")
+        for k in range(1, 9)
+    ]
 
 
 def test_top_edge_has_no_interior_lattice_points():

@@ -8,13 +8,15 @@ deletion order.
 from random import Random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from bigfree.ordered_abelian import BigFreeError, LexVector, ParseError, TOP, ZERO
+from bigfree.ordered_abelian import OMEGA_PLUS_ONE, BigFreeError, LexVector, ParseError, TOP, ZERO
 from bigfree.sampling import enumerate_reduced_words, random_reduced_word, random_word
 from bigfree.words import (
     IDENTITY,
     Word,
     common_prefix,
+    double_gromov,
     format_word,
     gromov,
     harmonic_stream,
@@ -164,6 +166,27 @@ def test_gromov_equals_prefix_length():
         g = random_reduced_word(rng, 20, 5)
         h = random_reduced_word(rng, 20, 5)
         assert gromov(g, h) == length_vector(common_prefix(g, h))
+
+
+_LETTERS = st.tuples(st.sampled_from([1, 2, 3, TOP]), st.sampled_from([1, -1]))
+_WORDS = st.lists(_LETTERS, max_size=30).map(Word)
+
+
+@st.composite
+def _word_pairs(draw):
+    """Unreduced words over a1..a3 and b; the second shares a prefix with the first."""
+    g = draw(_WORDS)
+    return g, Word(g.letters[:draw(st.integers(0, len(g.letters)))] + draw(_WORDS).letters)
+
+
+@given(_word_pairs())
+@example((IDENTITY, IDENTITY))
+@example((IDENTITY, parse_word("b a1^-1", OMEGA_PLUS_ONE)))
+@example((parse_word("a1 a1^-1 b a2", OMEGA_PLUS_ONE), parse_word("b a2^-1 a2 a2", OMEGA_PLUS_ONE)))
+def test_double_gromov_equals_definitional_formula(pair):
+    g, h = pair
+    definitional = length_vector(g) + length_vector(h) - length_vector(multiply(inverse(g), h))
+    assert double_gromov(g, h) == definitional
 
 
 def test_common_prefix_examples():

@@ -1,8 +1,9 @@
 """The big Cayley graph: rational edge offsets, metric, action, ball export.
 
 Points are vertices (reduced words) or interior points (w, a^p, t) of the
-unit edge from w to w a^p with exact rational 0 < t < 1.  Distances extend
-the word metric: the position of a point is L(w) + t L(a) and the distance
+unit edge from w to w a^p with exact rational 0 < t < 1: ``tree.EdgePoint``
+with a rational offset, the paper's R interval.  Distances extend the word
+metric: the position of a point is L(w) + t L(a), and the tree's formula
 subtracts twice the smallest of the two positions and the Gromov product of
 the far endpoints.  Finite balls export to DOT and JSON.
 """
@@ -25,12 +26,20 @@ from .ordered_abelian import (
     ZERO,
     check_index,
 )
+from .tree import (
+    EdgePoint,
+    act_edge_point,
+    direction_word,  # re-exported: a graph point's direction and position are the tree's
+    edge_point_dist,
+    format_edge_point,
+    parse_edge_point,
+    position,
+)
 from .words import (
     Letter,
     Word,
-    double_gromov,
     format_word,
-    length_vector,
+    letter_name,
     multiply,
 )
 
@@ -38,43 +47,13 @@ class ResourceLimitError(BigFreeError):
     """A finite construction would exceed its configured cap."""
 
 
-class CayleyPoint:
-    """Interior point of a labeled unit edge; vertices are bare Words."""
+class CayleyPoint(EdgePoint):
+    """Graph edge point: rational offset t with 0 < t < 1; vertices are bare Words."""
 
-    __slots__ = ("w", "index", "sign", "t")
-
-    def __init__(self, w: Word, index: AlphabetIndex, sign: int, t: Fraction):
-        check_index(index)
-        if sign not in (1, -1):
-            raise BigFreeError(f"edge sign must be +1 or -1, got {sign!r}")
-        if not w.reduced:
-            raise BigFreeError("base word must be reduced")
-        if w.letters and w.letters[-1] == (index, -sign):
-            raise BigFreeError("non-canonical point: base word ends in the inverse letter")
-        t = Fraction(t)
-        if not (0 < t < 1):
-            raise BigFreeError(f"edge parameter {t} outside (0, 1)")
-        self.w = w
-        self.index = index
-        self.sign = sign
-        self.t = t
-
-    def far_word(self) -> Word:
-        return Word._make(self.w.letters + ((self.index, self.sign),), True)
-
-    def __eq__(self, other):
-        if not isinstance(other, CayleyPoint):
-            return NotImplemented
-        return (self.w, self.index, self.sign, self.t) == (other.w, other.index, other.sign, other.t)
-
-    def __hash__(self):
-        return hash((self.w, self.index, self.sign, self.t))
-
-    def __str__(self):
-        return format_cayley_point(self)
-
-    def __repr__(self):
-        return f"CayleyPoint({format_cayley_point(self)!r})"
+    __slots__ = ()
+    _span = staticmethod(lambda index: 1)
+    _coerce = staticmethod(Fraction)
+    _vector = staticmethod(LexVector.unit)  # t L(a) is the unit vector at a, scaled to t
 
 
 GraphPoint = Union[CayleyPoint, Word]
@@ -92,36 +71,8 @@ def cayley_point(w: Word, index: AlphabetIndex, sign: int, t) -> GraphPoint:
     return CayleyPoint(w, index, sign, t)
 
 
-def position(x: GraphPoint) -> LexVector:
-    """Distance from the identity vertex: L(w) + t L(a)."""
-    if isinstance(x, Word):
-        return length_vector(x)
-    return length_vector(x.w) + LexVector.unit(x.index).scale(x.t)
-
-
-def direction_word(x: GraphPoint) -> Word:
-    """The word whose interval from the identity contains x."""
-    return x if isinstance(x, Word) else x.far_word()
-
-
-def cayley_dist(x: GraphPoint, y: GraphPoint) -> LexVector:
-    """Rational-coordinate distance extending the word metric."""
-    px, py = position(x), position(y)
-    # min(2px, 2py, 2c) is twice the min subtracted by the metric formula
-    doubled_min = min(px.double(), py.double(), double_gromov(direction_word(x), direction_word(y)))
-    return px + py - doubled_min
-
-
-def cayley_act(u: Word, x: GraphPoint) -> GraphPoint:
-    """Left action; flips the edge description when uw collides with it."""
-    if not u.reduced:
-        raise BigFreeError("acting word must be reduced")
-    if isinstance(x, Word):
-        return multiply(u, x)
-    uw = multiply(u, x.w)
-    if uw.letters and uw.letters[-1] == (x.index, -x.sign):
-        return CayleyPoint(Word._make(uw.letters[:-1], True), x.index, -x.sign, 1 - x.t)
-    return CayleyPoint(uw, x.index, x.sign, x.t)
+cayley_dist = edge_point_dist  # rational-coordinate distance extending the word metric
+cayley_act = act_edge_point
 
 
 # -- embedding comparison -------------------------------------------------------
@@ -247,11 +198,6 @@ def _vertex_label(w: Word) -> str:
     return format_word(w) or "1"
 
 
-def _letter_label(lt: Letter) -> str:
-    idx, _ = lt
-    return "b" if idx is TOP else f"a{idx}"
-
-
 def ball_dot(graph: BallGraph) -> str:
     """Deterministic DOT text; edges point along the positive generator."""
     lines = ["digraph ball {"]
@@ -263,7 +209,7 @@ def ball_dot(graph: BallGraph) -> str:
     for parent, lt in graph.edges:
         child = multiply(parent, Word._make((lt,), True))
         tail, head = (parent, child) if lt[1] > 0 else (child, parent)
-        lines.append(f'  "{_vertex_label(tail)}" -> "{_vertex_label(head)}" [label="{_letter_label(lt)}"];')
+        lines.append(f'  "{_vertex_label(tail)}" -> "{_vertex_label(head)}" [label="{letter_name(lt[0])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -277,7 +223,7 @@ def ball_json(graph: BallGraph) -> str:
             {
                 "from": format_word(parent),
                 "to": format_word(multiply(parent, Word._make((lt,), True))),
-                "label": _letter_label(lt) + ("" if lt[1] > 0 else "^-1"),
+                "label": letter_name(lt[0]) + ("" if lt[1] > 0 else "^-1"),
             }
             for parent, lt in graph.edges
         ],
@@ -287,30 +233,16 @@ def ball_json(graph: BallGraph) -> str:
 
 # -- text form --------------------------------------------------------------------
 
-def format_cayley_point(x: GraphPoint) -> str:
-    if isinstance(x, Word):
-        return format_word(x)
-    name = "b" if x.index is TOP else f"a{x.index}"
-    return f"({format_word(x.w)} ; {name}^{x.sign} ; {x.t})"
+format_cayley_point = format_edge_point
+
+
+def _parse_t(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad edge parameter {text!r}: {exc}") from None
 
 
 def parse_cayley_point(text: str, alphabet: Alphabet = OMEGA) -> GraphPoint:
-    from .triples import parse_letter_token
-    from .words import parse_word
-
-    raw = text.strip()
-    if not (raw.startswith("(") and raw.endswith(")")):
-        w = parse_word(raw, alphabet)
-        if not w.reduced:
-            raise BigFreeError("vertex word must be reduced")
-        return w
-    parts = raw[1:-1].split(";")
-    if len(parts) != 3:
-        raise BigFreeError(f"point must be '(<word> ; a<k>^<p> ; <t>)', got {text!r}")
-    w = parse_word(parts[0].strip(), alphabet)
-    idx, sign = parse_letter_token(parts[1], alphabet)
-    try:
-        t = Fraction(parts[2].strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad edge parameter {parts[2].strip()!r}: {exc}") from None
-    return cayley_point(w, idx, sign, t)
+    return parse_edge_point(
+        text, alphabet, lambda w, idx, sign, t: cayley_point(w, idx, sign, _parse_t(t)))

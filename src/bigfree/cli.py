@@ -30,7 +30,6 @@ from .ordered_abelian import (
     parse_vector,
 )
 from .sampling import enumerate_reduced_words
-from .suite import format_results, run_all
 from .topology import in_letter_ball, in_metric_ball
 from .tree import (
     bf_length_oracle,
@@ -48,7 +47,6 @@ from .triples import (
     format_triple,
     from_triple,
     parse_circle_point,
-    parse_letter_token,
     parse_triple,
     project,
     to_triple,
@@ -64,6 +62,7 @@ from .words import (
     length_vector,
     multiply,
     parse_cancellation,
+    parse_letter_token,
     parse_word,
     reduce,
     subwords,
@@ -301,6 +300,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    from .suite import format_results, run_all  # numpy is imported only when the suite runs
+
     results = run_all(samples=args.samples, seed=args.seed)
     sys.stdout.write(format_results(results))
     return 0 if all(r.ok for r in results) else 1

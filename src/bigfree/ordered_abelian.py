@@ -150,7 +150,9 @@ class LexVector:
 
     @classmethod
     def unit(cls, idx: AlphabetIndex, value: Coord = 1) -> "LexVector":
-        return cls([(idx, value)])
+        check_index(idx)
+        value = _norm_coord(value)
+        return cls._make(((idx, value),)) if value else ZERO
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -255,7 +257,7 @@ class LexVector:
         return LexVector._make(tuple((i, _norm_coord(v * factor)) for i, v in self.entries))
 
     def double(self) -> "LexVector":
-        return self.scale(2)
+        return self + self  # __add__ already stores whole Fractions as ints
 
     def is_integral(self) -> bool:
         return all(isinstance(v, int) for _, v in self.entries)

@@ -91,13 +91,18 @@ def random_tree_point(rng: Random, max_len: int = 12, max_index: int = 5) -> Tre
     return TreePoint(base + random_offset_inside(rng, g.letters[cut][0]), g)
 
 
-def random_edge_triple(rng: Random, max_len: int = 10, max_index: int = 5) -> EdgeTriple:
-    w = random_reduced_word(rng, max_len, max_index)
+def _edge_letter(rng: Random, w: Word, max_index: int) -> Tuple[int, int]:
+    """A signed letter that may follow the reduced word w (sign drawn first)."""
     sign = rng.choice((1, -1))
     while True:
         index = rng.randint(1, max_index)
         if not w.letters or w.letters[-1] != (index, -sign):
-            break
+            return index, sign
+
+
+def random_edge_triple(rng: Random, max_len: int = 10, max_index: int = 5) -> EdgeTriple:
+    w = random_reduced_word(rng, max_len, max_index)
+    index, sign = _edge_letter(rng, w, max_index)
     return EdgeTriple(w, index, sign, random_offset_inside(rng, index))
 
 
@@ -105,11 +110,7 @@ def random_cayley_point(rng: Random, max_len: int = 10, max_index: int = 5) -> G
     w = random_reduced_word(rng, max_len, max_index)
     if rng.random() < 0.25:
         return w
-    sign = rng.choice((1, -1))
-    while True:
-        index = rng.randint(1, max_index)
-        if not w.letters or w.letters[-1] != (index, -sign):
-            break
+    index, sign = _edge_letter(rng, w, max_index)
     den = rng.randint(2, 12)
     return cayley_point(w, index, sign, Fraction(rng.randint(1, den - 1), den))
 

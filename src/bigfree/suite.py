@@ -78,7 +78,8 @@ class PropertyResult:
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        """Passed: ran at least one check and recorded no failure."""
+        return self.checks > 0 and not self.failures
 
 
 class _Recorder:
@@ -794,7 +795,7 @@ def format_results(results: List[PropertyResult]) -> str:
     lines = []
     failed = 0
     for r in results:
-        status = "PASS" if r.ok else "FAIL"
+        status = "PASS" if r.ok else "FAIL" if r.failures else "EMPTY"
         lines.append(f"[{status}] {r.module}/{r.name}: {r.checks} checks")
         for msg in r.failures:
             lines.append(f"    {msg}")

@@ -5,21 +5,27 @@ group element g; two points are the same point of the tree iff they carry
 the same offset and it does not exceed the Gromov product of their words.
 Gromov products are handled as doubled integers internally and halved only
 where a value must be certified to lie in the lattice.
+
+``EdgePoint`` is the one model of a point inside the edge from w to w a^p:
+the tree puts a lattice offset there (the paper's Z^c interval), the Cayley
+graph a rational one (its R interval); action, text form and distance are shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from .ordered_abelian import (
     Alphabet,
+    AlphabetIndex,
     BigFreeError,
     HalfError,
     LexVector,
     OMEGA,
     ParseError,
     ZERO,
+    check_index,
     half_exact,
     parse_vector,
 )
@@ -31,7 +37,9 @@ from .words import (
     format_word,
     inverse,
     length_vector,
+    letter_name,
     multiply,
+    parse_letter_token,
     parse_word,
 )
 
@@ -83,10 +91,14 @@ def point_eq(p: TreePoint, q: TreePoint) -> bool:
     return p.n.double() <= double_gromov(p.g, q.g)
 
 
+def interval_dist(n: LexVector, g: Word, m: LexVector, h: Word) -> LexVector:
+    """Distance n + m - 2 min{n, m, c(g, h)} of the points at n on [1, g] and m on [1, h]."""
+    return n + m - min(n.double(), m.double(), double_gromov(g, h))
+
+
 def tree_dist(p: TreePoint, q: TreePoint) -> LexVector:
-    """n + m - 2 min{n, m, c(g, h)}, evaluated with doubled products."""
-    doubled_min = min(p.n.double(), q.n.double(), double_gromov(p.g, q.g))
-    return p.n + q.n - doubled_min
+    """The tree metric on two points."""
+    return interval_dist(p.n, p.g, q.n, q.g)
 
 
 def tree_act(h: Word, p: TreePoint) -> TreePoint:
@@ -122,6 +134,112 @@ def parse_tree_point(text: str, alphabet: Alphabet = OMEGA) -> TreePoint:
     if not g.reduced:
         raise BigFreeError("tree point word must be reduced")
     return TreePoint(n, g)
+
+
+# -- edge points -----------------------------------------------------------------
+
+class EdgePoint:
+    """Point strictly inside the edge from w to w a^p, at offset t from w.
+
+    Canonical: w is reduced, does not end in a^{-p}, and 0 < t < span.  A
+    subclass names its offset domain: ``_span(index)``, the edge length in
+    it; ``_coerce(t)``; ``_vector(index, t)``, the offset as a length vector.
+    Points of different subclasses never compare equal.
+    """
+
+    __slots__ = ("w", "index", "sign", "t")
+
+    def __init__(self, w: Word, index: AlphabetIndex, sign: int, t):
+        check_index(index)
+        if sign not in (1, -1):
+            raise BigFreeError(f"edge sign must be +1 or -1, got {sign!r}")
+        if not w.reduced:
+            raise BigFreeError("edge base word must be reduced")
+        if w.letters and w.letters[-1] == (index, -sign):
+            raise BigFreeError("non-canonical edge point: base word ends in the inverse letter")
+        t = self._coerce(t)
+        if not (self._vector(index, t).sign() > 0 and t < self._span(index)):  # 0 < t < span
+            raise BigFreeError(f"edge offset {t} outside (0, {self._span(index)}) for index {index!r}")
+        self.w = w
+        self.index = index
+        self.sign = sign
+        self.t = t
+
+    def edge_letter(self) -> Tuple[AlphabetIndex, int]:
+        return (self.index, self.sign)
+
+    def far_word(self) -> Word:
+        """The endpoint w a^p (already reduced by canonicality)."""
+        return Word._make(self.w.letters + ((self.index, self.sign),), True)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.w, self.index, self.sign, self.t) == (other.w, other.index, other.sign, other.t)
+
+    def __hash__(self):
+        return hash((self.w, self.index, self.sign, self.t))
+
+    def __str__(self):
+        return format_edge_point(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({format_edge_point(self)!r})"
+
+
+def position(x) -> LexVector:
+    """Distance from the identity of a word or an edge point: L(w) + offset."""
+    if isinstance(x, Word):
+        return length_vector(x)
+    return length_vector(x.w) + x._vector(x.index, x.t)
+
+
+def direction_word(x) -> Word:
+    """The word whose interval from the identity contains x."""
+    return x if isinstance(x, Word) else x.far_word()
+
+
+def edge_point_dist(x, y) -> LexVector:
+    """Exact distance between words or edge points of one model."""
+    return interval_dist(position(x), direction_word(x), position(y), direction_word(y))
+
+
+def act_edge_point(u: Word, x):
+    """Left action on a word or an edge point; output stays canonical.
+
+    When u w ends in the inverse edge letter, the sign flips and t becomes span - t.
+    """
+    if not u.reduced:
+        raise BigFreeError("acting word must be reduced")
+    if isinstance(x, Word):
+        return multiply(u, x)
+    uw = multiply(u, x.w)
+    if uw.letters and uw.letters[-1] == (x.index, -x.sign):
+        return type(x)(Word._make(uw.letters[:-1], True), x.index, -x.sign, x._span(x.index) - x.t)
+    return type(x)(uw, x.index, x.sign, x.t)
+
+
+def format_edge_point(x) -> str:
+    """A bare word, or ``(<word> ; <letter>^<sign> ; <offset>)``."""
+    if isinstance(x, Word):
+        return format_word(x)
+    return f"({format_word(x.w)} ; {letter_name(x.index)}^{x.sign} ; {x.t})"
+
+
+def parse_edge_point(text: str, alphabet: Alphabet, build: Callable):
+    """Inverse of ``format_edge_point``: a reduced bare word, or build(w, index, sign, offset text)."""
+    raw = text.strip()
+    if not (raw.startswith("(") and raw.endswith(")")):
+        w = parse_word(raw, alphabet)
+        if not w.reduced:
+            raise BigFreeError("bare-word point must be reduced")
+        return w
+    parts = raw[1:-1].split(";", 2)  # the offset may hold ";TOP="; word and letter never do
+    if len(parts) != 3:
+        raise BigFreeError(f"edge point must be '(<word> ; a<k>^<p> ; <offset>)', got {text!r}")
+    w = parse_word(parts[0].strip(), alphabet)
+    idx, sign = parse_letter_token(parts[1], alphabet)
+    return build(w, idx, sign, parts[2].strip())
 
 
 # -- length-function axioms ---------------------------------------------------

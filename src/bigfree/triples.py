@@ -2,8 +2,9 @@
 
 Every tree point either is a group element (degenerate form: the bare word)
 or sits strictly inside the edge from w to w a^p at offset t with
-[] < t < L(a); w never ends in a^{-p}.  The extraction routine finds the
-first initial segment of the point's word whose length vector reaches the
+[] < t < L(a); w never ends in a^{-p}: ``tree.EdgePoint`` with a lattice
+offset, the paper's Z^c interval.  The extraction routine finds the first
+initial segment of the point's word whose length vector reaches the
 offset; prefix lengths are strictly increasing in lex order, so "first" is
 well defined and the representation is unique.
 
@@ -30,61 +31,36 @@ from .ordered_abelian import (
     check_index,
     parse_vector,
 )
-from .tree import TreePoint, tree_dist
+from .tree import (
+    EdgePoint,
+    TreePoint,
+    act_edge_point,
+    direction_word,
+    edge_point_dist,
+    format_edge_point,
+    parse_edge_point,
+    position,
+)
 from .words import (
     IDENTITY,
     Word,
-    format_word,
     inverse,
-    length_vector,
+    letter_name,
     multiply,
-    parse_word,
+    parse_letter_token,
     reversed_harmonic_stream,
     truncate,
     word_dist,
 )
 
 
-class EdgeTriple:
-    """Interior edge point: base word, signed letter, strict offset."""
+class EdgeTriple(EdgePoint):
+    """Tree edge point: lattice offset t with [] < t < L(a)."""
 
-    __slots__ = ("w", "index", "sign", "t")
-
-    def __init__(self, w: Word, index: AlphabetIndex, sign: int, t: LexVector):
-        check_index(index)
-        if sign not in (1, -1):
-            raise BigFreeError(f"edge sign must be +1 or -1, got {sign!r}")
-        if not w.reduced:
-            raise BigFreeError("triple base word must be reduced")
-        if w.letters and w.letters[-1] == (index, -sign):
-            raise BigFreeError("non-canonical triple: base word ends in the inverse letter")
-        if not (ZERO < t < LexVector.unit(index)):
-            raise BigFreeError(f"edge offset {t} outside (0, L(a)) for index {index!r}")
-        self.w = w
-        self.index = index
-        self.sign = sign
-        self.t = t
-
-    def edge_letter(self) -> Tuple[AlphabetIndex, int]:
-        return (self.index, self.sign)
-
-    def far_word(self) -> Word:
-        """The endpoint w a^p (already reduced by canonicality)."""
-        return Word._make(self.w.letters + ((self.index, self.sign),), True)
-
-    def __eq__(self, other):
-        if not isinstance(other, EdgeTriple):
-            return NotImplemented
-        return (self.w, self.index, self.sign, self.t) == (other.w, other.index, other.sign, other.t)
-
-    def __hash__(self):
-        return hash((self.w, self.index, self.sign, self.t))
-
-    def __str__(self):
-        return format_triple(self)
-
-    def __repr__(self):
-        return f"EdgeTriple({format_triple(self)!r})"
+    __slots__ = ()
+    _span = staticmethod(LexVector.unit)
+    _coerce = staticmethod(lambda t: t)
+    _vector = staticmethod(lambda index, t: t)
 
 
 TriplePoint = Union[EdgeTriple, Word]
@@ -127,29 +103,11 @@ def to_triple(p: TreePoint) -> TriplePoint:
 
 def from_triple(e: TriplePoint) -> TreePoint:
     """Tree point named by canonical coordinates."""
-    if isinstance(e, Word):
-        if not e.reduced:
-            raise BigFreeError("degenerate triple word must be reduced")
-        return TreePoint(length_vector(e), e)
-    return TreePoint(length_vector(e.w) + e.t, e.far_word())
+    return TreePoint(position(e), direction_word(e))
 
 
-def act_triple(u: Word, e: TriplePoint) -> TriplePoint:
-    """Left action in triple coordinates; output stays canonical."""
-    if not u.reduced:
-        raise BigFreeError("acting word must be reduced")
-    if isinstance(e, Word):
-        return multiply(u, e)
-    uw = multiply(u, e.w)
-    if uw.letters and uw.letters[-1] == (e.index, -e.sign):
-        flipped = Word._make(uw.letters[:-1], True)
-        return EdgeTriple(flipped, e.index, -e.sign, LexVector.unit(e.index) - e.t)
-    return EdgeTriple(uw, e.index, e.sign, e.t)
-
-
-def triple_dist(e1: TriplePoint, e2: TriplePoint) -> LexVector:
-    """Exact distance: the general tree formula on the named points."""
-    return tree_dist(from_triple(e1), from_triple(e2))
+act_triple = act_edge_point
+triple_dist = edge_point_dist  # the tree formula on the named points, without building them
 
 
 def simplified_triple_dist(e1: EdgeTriple, e2: EdgeTriple) -> LexVector:
@@ -260,8 +218,7 @@ def orbit_witness(e1: TriplePoint, e2: TriplePoint) -> Optional[Word]:
         return None  # wedge never equals an interior projection
     if e1.sign == e2.sign:
         return multiply(e2.w, inverse(e1.w))
-    step = Word._make(((e2.index, e2.sign),), True)
-    return multiply(multiply(e2.w, step), inverse(e1.w))
+    return multiply(e2.far_word(), inverse(e1.w))
 
 
 # -- the omega+1 witness --------------------------------------------------------
@@ -285,43 +242,16 @@ def top_edge_instability(depth: int) -> List[Tuple[int, Word, TriplePoint]]:
 
 # -- text forms ------------------------------------------------------------------
 
-def format_triple(e: TriplePoint) -> str:
-    if isinstance(e, Word):
-        return format_word(e)
-    name = "b" if e.index is TOP else f"a{e.index}"
-    return f"({format_word(e.w)} ; {name}^{e.sign} ; {e.t})"
-
-
-def parse_letter_token(token: str, alphabet: Alphabet) -> Tuple[AlphabetIndex, int]:
-    """Parse ``a<k>``/``b`` with optional ``^1``/``^-1``."""
-    m = re.fullmatch(r"(?:a([1-9][0-9]*)|b)(?:\^(-?1))?", token.strip())
-    if not m:
-        raise ParseError(f"bad letter token {token!r}")
-    idx: AlphabetIndex = TOP if m.group(1) is None else int(m.group(1))
-    alphabet.check_index(idx)
-    sign = 1 if m.group(2) is None else int(m.group(2))
-    return idx, sign
+format_triple = format_edge_point
 
 
 def parse_triple(text: str, alphabet: Alphabet = OMEGA) -> TriplePoint:
-    raw = text.strip()
-    if not (raw.startswith("(") and raw.endswith(")")):
-        w = parse_word(raw, alphabet)
-        if not w.reduced:
-            raise BigFreeError("degenerate triple word must be reduced")
-        return w
-    parts = raw[1:-1].split(";")
-    if len(parts) != 3:
-        raise BigFreeError(f"triple must be '(<word> ; a<k>^<p> ; <vector>)', got {text!r}")
-    w = parse_word(parts[0].strip(), alphabet)
-    idx, sign = parse_letter_token(parts[1], alphabet)
-    t = parse_vector(parts[2].strip(), alphabet)
-    return EdgeTriple(w, idx, sign, t)
+    return parse_edge_point(
+        text, alphabet, lambda w, idx, sign, t: EdgeTriple(w, idx, sign, parse_vector(t, alphabet)))
 
 
 def format_circle_point(x: CirclePoint) -> str:
-    name = "b" if x.index is TOP else f"a{x.index}"
-    return f"C({name}) @ {x.s}"
+    return f"C({letter_name(x.index)}) @ {x.s}"
 
 
 def parse_circle_point(text: str, alphabet: Alphabet = OMEGA) -> CirclePoint:

@@ -98,38 +98,27 @@ class Word:
 IDENTITY = Word._make((), True)
 
 
-def reduce(w: Word) -> Word:
-    """The unique reduced representative (single stack pass, idempotent)."""
-    if w.reduced:
-        return w
-    stack: list = []
-    for idx, sign in w.letters:
-        if stack and stack[-1] == (idx, -sign):
-            stack.pop()
-        else:
-            stack.append((idx, sign))
-    return Word._make(tuple(stack), True)
-
-
-def multiply(w: Word, v: Word) -> Word:
-    """Reduced form of the concatenation."""
-    stack = list(w.letters) if w.reduced else _reduce_list(w.letters)
-    for idx, sign in v.letters:
-        if stack and stack[-1] == (idx, -sign):
-            stack.pop()
-        else:
-            stack.append((idx, sign))
-    return Word._make(tuple(stack), True)
-
-
-def _reduce_list(letters: tuple) -> list:
-    stack: list = []
+def _push(stack: list, letters: Iterable[Letter]) -> list:
+    """Append letters to a reduced stack, cancelling each adjacent inverse pair."""
     for idx, sign in letters:
         if stack and stack[-1] == (idx, -sign):
             stack.pop()
         else:
             stack.append((idx, sign))
     return stack
+
+
+def reduce(w: Word) -> Word:
+    """The unique reduced representative (single stack pass, idempotent)."""
+    if w.reduced:
+        return w
+    return Word._make(tuple(_push([], w.letters)), True)
+
+
+def multiply(w: Word, v: Word) -> Word:
+    """Reduced form of the concatenation."""
+    stack = list(w.letters) if w.reduced else _push([], w.letters)
+    return Word._make(tuple(_push(stack, v.letters)), True)
 
 
 def inverse(w: Word) -> Word:
@@ -214,10 +203,10 @@ def common_prefix(g: Word, h: Word) -> Word:
 
 
 def is_subword(v: Word, w: Word) -> bool:
-    """True iff L(v) + L(v^-1 w) = L(w) (initial segment, for reduced words)."""
+    """True iff v is an initial segment of w; for reduced words, iff L(v) + L(v^-1 w) = L(w)."""
     _require_reduced(v, "is_subword arguments")
     _require_reduced(w, "is_subword arguments")
-    return length_vector(v) + word_dist(v, w) == length_vector(w)
+    return w.letters[:len(v.letters)] == v.letters
 
 
 def subwords(w: Word) -> list:
@@ -353,7 +342,25 @@ def format_cancellation(c: Cancellation) -> str:
 # -- text form ----------------------------------------------------------------
 
 _TOKEN = re.compile(r"\S+")
-_WORD_TOKEN = re.compile(r"(?:a([1-9][0-9]*)|b)(?:\^(-?[0-9]+))?")
+_LETTER_NAME = r"(?:a([1-9][0-9]*)|b)"
+_WORD_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?[0-9]+))?")
+_LETTER_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?1))?")
+
+
+def letter_name(idx: AlphabetIndex) -> str:
+    """Text name of a generator: ``a<k>``, or ``b`` for the TOP letter."""
+    return "b" if idx is TOP else f"a{idx}"
+
+
+def parse_letter_token(token: str, alphabet: Alphabet) -> Tuple[AlphabetIndex, int]:
+    """Parse ``a<k>``/``b`` with optional ``^1``/``^-1``."""
+    m = _LETTER_TOKEN.fullmatch(token.strip())
+    if not m:
+        raise ParseError(f"bad letter token {token!r}")
+    idx: AlphabetIndex = TOP if m.group(1) is None else int(m.group(1))
+    alphabet.check_index(idx)
+    sign = 1 if m.group(2) is None else int(m.group(2))
+    return idx, sign
 
 
 def parse_word(text: str, alphabet: Alphabet = OMEGA) -> Word:
@@ -384,7 +391,7 @@ def format_word(w: Word) -> str:
         j = i
         while j < len(letters) and letters[j] == (idx, sign):
             j += 1
-        name = "b" if idx is TOP else f"a{idx}"
+        name = letter_name(idx)
         exp = (j - i) * sign
         parts.append(name if exp == 1 else f"{name}^{exp}")
         i = j

@@ -1,10 +1,17 @@
 """The command-line surface: outputs, exit codes, JSON mode, determinism."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
 from bigfree.cli import main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -152,6 +159,45 @@ def test_suite_smoke(capsys):
     code, out, _ = run(capsys, "suite", "--samples", "5", "--seed", "1")
     assert code == 0
     assert "total: " in out and " 0 failed" in out
+
+
+def test_suite_fails_properties_that_ran_no_checks(capsys):
+    code, out, _ = run(capsys, "suite", "--samples", "-5")
+    assert code == 1
+    lines = out.splitlines()
+    empty = [line for line in lines if line.startswith("[EMPTY] ")]
+    assert len(empty) == 23 and all(line.endswith(": 0 checks") for line in empty)
+    assert not any(line.startswith("[PASS] ") and line.endswith(": 0 checks") for line in lines)
+    assert lines[-1] == "total: 38 properties, 23 failed"
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, bigfree.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+_README_EXAMPLE = re.compile(r"bigfree (.*?)\s+# (.*)")
+
+
+def test_readme_examples_print_their_documented_output(capsys):
+    """Every README example with a trailing ``# output`` comment prints that output.
+
+    An example that redirects its output to a file (``>``) documents the
+    file, so its comment is a description and is not compared.
+    """
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        examples = [m.groups() for m in map(_README_EXAMPLE.fullmatch, fh.read().splitlines()) if m]
+    checked = 0
+    for command, output in examples:
+        argv = shlex.split(command)
+        if ">" in argv:
+            continue
+        assert run(capsys, *argv) == (0, output + "\n", ""), command
+        checked += 1
+    assert checked == 9
 
 
 def test_output_is_deterministic(capsys):

@@ -105,6 +105,25 @@ def test_canonical_form_drops_zeros_and_whole_fractions():
     assert LexVector({1: Fraction(1, 3)}).entries == ((1, Fraction(1, 3)),)
 
 
+def test_unit_validates_and_keeps_the_canonical_form():
+    assert LexVector.unit(3, 0) == ZERO
+    assert LexVector.unit(TOP).entries == ((TOP, 1),)
+    whole = LexVector.unit(2, Fraction(4, 2))
+    assert whole.entries == ((2, 2),) and type(whole.entries[0][1]) is int
+    assert LexVector.unit(1, Fraction(1, 3)).entries == ((1, Fraction(1, 3)),)
+    with pytest.raises(BigFreeError):
+        LexVector.unit(0)
+    with pytest.raises(BigFreeError):
+        LexVector.unit(1, True)
+
+
+def test_double_stores_whole_fractions_as_ints():
+    doubled = LexVector({1: Fraction(1, 2), 2: Fraction(3, 2), 3: Fraction(1, 3)}).double()
+    assert doubled.entries == ((1, 1), (2, 3), (3, Fraction(2, 3)))
+    assert [type(v) for _, v in doubled.entries] == [int, int, Fraction]
+    assert vec(1, -2, top=3).double() == vec(2, -4, top=6)
+
+
 def test_rejects_bad_entries():
     with pytest.raises(BigFreeError):
         LexVector({0: 1})

@@ -1,11 +1,14 @@
-"""Tree points, metric, action and the length-function axiom checker."""
+"""Tree points, metric, action, the length-function axiom checker, edge points."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 import bigfree.tree
-from bigfree.ordered_abelian import BigFreeError, LexVector, ZERO
+from bigfree.cayley import CayleyPoint, format_cayley_point, parse_cayley_point
+from bigfree.ordered_abelian import OMEGA_PLUS_ONE, TOP, BigFreeError, LexVector, ZERO
 from bigfree.sampling import enumerate_reduced_words, random_reduced_word, random_tree_point
 from bigfree.tree import (
     BASEPOINT,
@@ -21,8 +24,10 @@ from bigfree.tree import (
     word_point,
     y_point,
 )
+from bigfree.triples import EdgeTriple, format_triple, parse_triple
 from bigfree.words import (
     IDENTITY,
+    Word,
     inverse,
     length_vector,
     multiply,
@@ -289,3 +294,63 @@ def test_tree_point_text_roundtrip():
     assert q.n == p.n and q.g == p.g
     r = parse_tree_point("[] @ ")
     assert point_eq(r, BASEPOINT)
+
+
+# -- edge points: one model, two offset domains -------------------------------------------
+
+_EDGE_LETTERS = [(idx, sign) for idx in (1, 2, 3, TOP) for sign in (1, -1)]
+
+
+@st.composite
+def _edge_bases(draw):
+    """A reduced word over a1..a3 and b plus an edge letter that may follow it."""
+    letters = []
+    for lt in draw(st.lists(st.sampled_from(_EDGE_LETTERS), max_size=12)):
+        if letters and lt == (letters[-1][0], -letters[-1][1]):
+            lt = letters[-1]  # repeat instead of cancelling, so the word stays reduced
+        letters.append(lt)
+    idx, sign = draw(st.sampled_from(_EDGE_LETTERS))
+    if letters and letters[-1] == (idx, -sign):
+        sign = -sign
+    return Word._make(tuple(letters), True), idx, sign
+
+
+_COORD = st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def edge_triples(draw):
+    """Edge triples with Fraction offsets, TOP coordinates and TOP edge letters."""
+    w, idx, sign = draw(_edge_bases())
+    lower = [] if idx is TOP else [(idx + 1, draw(_COORD)), (idx + 3, draw(_COORD)), (TOP, draw(_COORD))]
+    t = LexVector([(idx, draw(st.fractions(0, 1, max_denominator=5)))] + lower)
+    assume(ZERO < t < LexVector.unit(idx))
+    return EdgeTriple(w, idx, sign, t)
+
+
+@st.composite
+def cayley_points(draw):
+    w, idx, sign = draw(_edge_bases())
+    t = draw(st.fractions(0, 1, max_denominator=50))
+    assume(0 < t < 1)
+    return CayleyPoint(w, idx, sign, t)
+
+
+@given(edge_triples())
+@example(EdgeTriple(IDENTITY, 1, 1, LexVector.unit(TOP)))  # the offset text holds a ';'
+def test_edge_triple_text_round_trip(e):
+    assert parse_triple(format_triple(e), OMEGA_PLUS_ONE) == e
+
+
+@given(cayley_points())
+def test_cayley_point_text_round_trip(x):
+    assert parse_cayley_point(format_cayley_point(x), OMEGA_PLUS_ONE) == x
+
+
+def test_edge_triples_and_cayley_points_never_compare_equal():
+    e = EdgeTriple(IDENTITY, 1, 1, LexVector.unit(2))
+    x = CayleyPoint(IDENTITY, 1, 1, Fraction(1, 2))
+    x.t = e.t  # the same four fields, read in the other offset domain
+    assert (e.w, e.index, e.sign, e.t) == (x.w, x.index, x.sign, x.t)
+    assert e != x and x != e
+    assert len({e, x}) == 2

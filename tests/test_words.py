@@ -236,6 +236,23 @@ def test_subwords_are_exactly_the_is_subword_hits():
             assert is_subword(v, w) == (v in members)
 
 
+@st.composite
+def _reduced_pairs(draw):
+    """Reduced words v and w; half the time v is an initial segment of w."""
+    g, h = draw(_word_pairs())
+    w = reduce(g)
+    if draw(st.booleans()):
+        return Word._make(w.letters[:draw(st.integers(0, len(w.letters)))], True), w
+    return reduce(h), w
+
+
+@given(_reduced_pairs())
+def test_is_subword_agrees_with_the_length_identity(pair):
+    """For reduced words, v is an initial segment of w iff L(v) + L(v^-1 w) = L(w)."""
+    v, w = pair
+    assert is_subword(v, w) == (length_vector(v) + word_dist(v, w) == length_vector(w))
+
+
 # -- streams ----------------------------------------------------------------------------
 
 def test_truncate_examples():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from .ordered_abelian import (
     TOP,
@@ -102,14 +102,17 @@ def default_t_grid(points: int = 100) -> List[Fraction]:
     return [Fraction(k, points) for k in range(points + 1)]
 
 
-def default_s_grid(index: AlphabetIndex, span: int = 5, depth: int = 10) -> List[LexVector]:
-    """Lattice sample of [0, L(a)]: endpoints plus two-sided perturbations."""
+def default_s_grid(index: AlphabetIndex) -> List[LexVector]:
+    """Lattice sample of [0, L(a)]: endpoints plus two-sided perturbations.
+
+    The perturbations are c L(a_{index+j}) for j = 1..5 and c = 1..10.
+    """
     unit = LexVector.unit(index)
     grid = [ZERO, unit]
     if index is TOP:
         return grid  # the TOP interval has no interior lattice points
-    for j in range(1, span + 1):
-        for c in range(1, depth + 1):
+    for j in range(1, 6):
+        for c in range(1, 11):
             bump = LexVector.unit(index + j, c)
             grid.append(bump)         # just above 0
             grid.append(unit - bump)  # just below L(a)
@@ -120,14 +123,13 @@ def embed_compare(
     w: Word,
     index: AlphabetIndex,
     t_grid: Optional[Iterable[Fraction]] = None,
-    s_grid: Optional[Iterable[LexVector]] = None,
 ) -> EmbedReport:
     """Report every grid coincidence of the two edge embeddings."""
     if not w.reduced:
         raise BigFreeError("base word must be reduced")
     check_index(index)
     ts = list(default_t_grid() if t_grid is None else t_grid)
-    ss = list(default_s_grid(index) if s_grid is None else s_grid)
+    ss = default_s_grid(index)
     unit = LexVector.unit(index)
     lattice = set(ss)
     matches = []
@@ -194,38 +196,38 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     return BallGraph(center, ordered_vertices, tuple(edges), max_len, max_letter)
 
 
-def _vertex_label(w: Word) -> str:
-    return format_word(w) or "1"
+def _labels(graph: BallGraph, identity: str) -> Tuple[Dict[Word, str], List[Tuple[str, str, Letter]]]:
+    """Each vertex word formatted once, and the (parent, child, letter) labels of each edge."""
+    label = {v: format_word(v) or identity for v in graph.vertices}
+    edges = [(label[parent], label[multiply(parent, Word._make((lt,), True))], lt)
+             for parent, lt in graph.edges]
+    return label, edges
 
 
 def ball_dot(graph: BallGraph) -> str:
     """Deterministic DOT text; edges point along the positive generator."""
+    label, edges = _labels(graph, "1")
     lines = ["digraph ball {"]
-    center_label = _vertex_label(graph.center)
-    lines.append(f'  "{center_label}" [shape=doublecircle];')
+    lines.append(f'  "{label[graph.center]}" [shape=doublecircle];')
     for v in graph.vertices:
         if v != graph.center:
-            lines.append(f'  "{_vertex_label(v)}";')
-    for parent, lt in graph.edges:
-        child = multiply(parent, Word._make((lt,), True))
+            lines.append(f'  "{label[v]}";')
+    for parent, child, lt in edges:
         tail, head = (parent, child) if lt[1] > 0 else (child, parent)
-        lines.append(f'  "{_vertex_label(tail)}" -> "{_vertex_label(head)}" [label="{letter_name(lt[0])}"];')
+        lines.append(f'  "{tail}" -> "{head}" [label="{letter_name(lt[0])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def ball_json(graph: BallGraph) -> str:
     """JSON with vertices, edges and center keys; word grammar strings."""
+    label, edges = _labels(graph, "")
     payload = {
-        "center": format_word(graph.center),
-        "vertices": [format_word(v) for v in graph.vertices],
+        "center": label[graph.center],
+        "vertices": [label[v] for v in graph.vertices],
         "edges": [
-            {
-                "from": format_word(parent),
-                "to": format_word(multiply(parent, Word._make((lt,), True))),
-                "label": letter_name(lt[0]) + ("" if lt[1] > 0 else "^-1"),
-            }
-            for parent, lt in graph.edges
+            {"from": parent, "to": child, "label": letter_name(lt[0]) + ("" if lt[1] > 0 else "^-1")}
+            for parent, child, lt in edges
         ],
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -1,5 +1,12 @@
 """Command-line front end: one subcommand per library operation plus suites.
 
+Every subcommand is one row of the ordered ``COMMANDS`` table, and
+``build_parser`` is one loop over it.  Most rows are queries: the row names
+the library operation, its positional arguments with the text grammar of
+each, the formatter of the result and the ``--json`` key, and one handler
+serves them all.  The rest name their own handler, because their output is
+not one formatted value or they parse their arguments out of order.
+
 Exit codes: 0 success, 1 domain error (bad values, non-canonical input),
 2 usage error.  Every query subcommand takes ``--json`` for machine-readable
 output and ``--alphabet omega|omega+1`` to select the index-set instance;
@@ -11,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from .cayley import (
     ball_dot,
@@ -19,6 +26,7 @@ from .cayley import (
     ball_json,
     cayley_act,
     cayley_dist,
+    default_t_grid,
     embed_compare,
     format_cayley_point,
     parse_cayley_point,
@@ -83,46 +91,7 @@ def _alphabet(args):
     return alphabet_by_name(args.alphabet)
 
 
-# -- word-level handlers -------------------------------------------------------
-
-def _cmd_reduce(args) -> int:
-    w = reduce(parse_word(args.word, _alphabet(args)))
-    return _emit(args, format_word(w), {"word": format_word(w)})
-
-
-def _cmd_mul(args) -> int:
-    al = _alphabet(args)
-    w = multiply(parse_word(args.left, al), parse_word(args.right, al))
-    return _emit(args, format_word(w), {"word": format_word(w)})
-
-
-def _cmd_inv(args) -> int:
-    w = inverse(parse_word(args.word, _alphabet(args)))
-    return _emit(args, format_word(w), {"word": format_word(w)})
-
-
-def _cmd_len(args) -> int:
-    vec = length_vector(parse_word(args.word, _alphabet(args)))
-    return _emit(args, format_vector(vec), {"length": format_vector(vec)})
-
-
-def _cmd_dist(args) -> int:
-    al = _alphabet(args)
-    vec = word_dist(parse_word(args.left, al), parse_word(args.right, al))
-    return _emit(args, format_vector(vec), {"distance": format_vector(vec)})
-
-
-def _cmd_gromov(args) -> int:
-    al = _alphabet(args)
-    vec = gromov(parse_word(args.left, al), parse_word(args.right, al))
-    return _emit(args, format_vector(vec), {"gromov": format_vector(vec)})
-
-
-def _cmd_prefix(args) -> int:
-    al = _alphabet(args)
-    w = common_prefix(parse_word(args.left, al), parse_word(args.right, al))
-    return _emit(args, format_word(w), {"word": format_word(w)})
-
+# -- handlers of the commands that are not one formatted value ----------------------
 
 def _cmd_subwords(args) -> int:
     items = subwords(parse_word(args.word, _alphabet(args)))
@@ -145,26 +114,6 @@ def _cmd_cancel_verify(args) -> int:
     })
 
 
-# -- tree handlers ----------------------------------------------------------------
-
-def _cmd_tree_dist(args) -> int:
-    al = _alphabet(args)
-    vec = tree_dist(parse_tree_point(args.left, al), parse_tree_point(args.right, al))
-    return _emit(args, format_vector(vec), {"distance": format_vector(vec)})
-
-
-def _cmd_tree_act(args) -> int:
-    al = _alphabet(args)
-    p = tree_act(parse_word(args.word, al), parse_tree_point(args.point, al))
-    return _emit(args, format_tree_point(p), {"point": format_tree_point(p)})
-
-
-def _cmd_y(args) -> int:
-    al = _alphabet(args)
-    w = y_point(parse_word(args.v, al), parse_word(args.x, al), parse_word(args.y, al))
-    return _emit(args, format_word(w), {"word": format_word(w)})
-
-
 def _cmd_axioms_check(args) -> int:
     sample = enumerate_reduced_words(args.max_len, args.max_letter)
     violation = check_length_axioms(bf_length_oracle(), sample)
@@ -173,24 +122,6 @@ def _cmd_axioms_check(args) -> int:
         return _emit(args, text, {"ok": True, "elements": len(sample)})
     text = f"violation {violation.axiom}: {violation.message}"
     return _emit(args, text, {"ok": False, "axiom": violation.axiom, "message": violation.message})
-
-
-# -- triple handlers -----------------------------------------------------------------
-
-def _cmd_to_triple(args) -> int:
-    e = to_triple(parse_tree_point(args.point, _alphabet(args)))
-    return _emit(args, format_triple(e), {"triple": format_triple(e)})
-
-
-def _cmd_from_triple(args) -> int:
-    p = from_triple(parse_triple(args.triple, _alphabet(args)))
-    return _emit(args, format_tree_point(p), {"point": format_tree_point(p)})
-
-
-def _cmd_triple_act(args) -> int:
-    al = _alphabet(args)
-    e = act_triple(parse_word(args.word, al), parse_triple(args.triple, al))
-    return _emit(args, format_triple(e), {"triple": format_triple(e)})
 
 
 def _cmd_triple_dist(args) -> int:
@@ -209,39 +140,13 @@ def _cmd_triple_dist(args) -> int:
     })
 
 
-def _cmd_project(args) -> int:
-    x = project(parse_triple(args.triple, _alphabet(args)))
-    return _emit(args, format_circle_point(x), {"circle_point": format_circle_point(x)})
-
-
-def _cmd_circle_dist(args) -> int:
-    al = _alphabet(args)
-    vec = circle_dist(parse_circle_point(args.left, al), parse_circle_point(args.right, al))
-    return _emit(args, format_vector(vec), {"distance": format_vector(vec)})
-
-
-# -- cayley handlers -------------------------------------------------------------------
-
-def _cmd_cayley_dist(args) -> int:
-    al = _alphabet(args)
-    vec = cayley_dist(parse_cayley_point(args.left, al), parse_cayley_point(args.right, al))
-    return _emit(args, format_vector(vec), {"distance": format_vector(vec)})
-
-
-def _cmd_cayley_act(args) -> int:
-    al = _alphabet(args)
-    x = cayley_act(parse_word(args.word, al), parse_cayley_point(args.point, al))
-    return _emit(args, format_cayley_point(x), {"point": format_cayley_point(x)})
-
-
 def _cmd_embed_compare(args) -> int:
     al = _alphabet(args)
     w = parse_word(args.word, al)
     index, _ = parse_letter_token(args.letter, al)
     if args.points < 1:
         raise BigFreeError(f"--points must be at least 1, got {args.points}")
-    t_grid = [Fraction(k, args.points) for k in range(args.points + 1)]
-    report = embed_compare(w, index, t_grid=t_grid)
+    report = embed_compare(w, index, t_grid=default_t_grid(args.points))
     lines = [
         f"edge ({format_word(w) or 'identity'}, {args.letter}): "
         f"{len(report.matches)} coincidences over {report.t_count} x {report.s_count} grid points"
@@ -265,8 +170,6 @@ def _cmd_ball(args) -> int:
     return 0
 
 
-# -- topology handlers --------------------------------------------------------------------
-
 def _cmd_ball_letter(args) -> int:
     al = _alphabet(args)
     threshold, _ = parse_letter_token(args.letter, al)
@@ -280,8 +183,6 @@ def _cmd_ball_metric(args) -> int:
     inside = in_metric_ball(parse_word(args.center, al), eps, parse_word(args.word, al))
     return _emit(args, "true" if inside else "false", {"inside": inside})
 
-
-# -- demo / suite ----------------------------------------------------------------------------
 
 def _cmd_demo(args) -> int:
     if args.name != "omega-plus-one":
@@ -307,7 +208,131 @@ def _cmd_suite(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-# -- parser ------------------------------------------------------------------------------------
+# -- the command table -------------------------------------------------------------
+
+def _arg(*flags, **options):
+    """Spec of one ``add_argument`` call."""
+    return flags, options
+
+
+class Command(NamedTuple):
+    """One subcommand: name, help text, handler and argument specs.
+
+    An ``args`` entry is an ``_arg`` spec, or a list of specs of which the
+    user must give exactly one.  ``json_flag`` adds the shared ``--json``.
+    """
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], int]
+    args: tuple = ()
+    json_flag: bool = True
+
+
+class Pos(NamedTuple):
+    """Positional argument of a query: its name, its grammar ``parse(text, alphabet)``, its help."""
+
+    name: str
+    parse: Callable
+    help: Optional[str] = None
+
+
+def _query(name: str, help_text: str, op: Callable, params, fmt: Callable, key: str) -> Command:
+    """Row that parses its positionals in order, calls ``op`` and prints ``fmt`` of the result.
+
+    Under ``--json`` the output is ``{key: text}``.
+    """
+    def run(args) -> int:
+        al = _alphabet(args)
+        text = fmt(op(*(p.parse(getattr(args, p.name), al) for p in params)))
+        return _emit(args, text, {key: text})
+
+    return Command(name, help_text, run, tuple(_arg(p.name, help=p.help) for p in params))
+
+
+COMMANDS = (
+    _query("reduce", "reduced form of a word", reduce, [Pos("word", parse_word)], format_word, "word"),
+    _query("mul", "product of two words (reduced)", multiply,
+           [Pos("left", parse_word), Pos("right", parse_word)], format_word, "word"),
+    _query("inv", "inverse word", inverse, [Pos("word", parse_word)], format_word, "word"),
+    _query("len", "length vector of a word", length_vector,
+           [Pos("word", parse_word)], format_vector, "length"),
+    _query("dist", "vector distance between two words", word_dist,
+           [Pos("left", parse_word), Pos("right", parse_word)], format_vector, "distance"),
+    _query("gromov", "Gromov product at the identity", gromov,
+           [Pos("left", parse_word), Pos("right", parse_word)], format_vector, "gromov"),
+    _query("prefix", "longest common initial segment", common_prefix,
+           [Pos("left", parse_word), Pos("right", parse_word)], format_word, "word"),
+    Command("subwords", "all initial segments in order", _cmd_subwords, (_arg("word"),)),
+    Command("cancel-verify", "check a cancellation pairing", _cmd_cancel_verify,
+            (_arg("word"), _arg("pairs", help="comma-separated i-j position pairs"))),
+
+    _query("tree-dist", "distance between tree points", tree_dist,
+           [Pos("left", parse_tree_point, "point as '<vector> @ <word>'"), Pos("right", parse_tree_point)],
+           format_vector, "distance"),
+    _query("tree-act", "act on a tree point", tree_act,
+           [Pos("word", parse_word), Pos("point", parse_tree_point)], format_tree_point, "point"),
+    _query("y", "median word of three group elements", y_point,
+           [Pos("v", parse_word), Pos("x", parse_word), Pos("y", parse_word)], format_word, "word"),
+    Command("axioms-check", "length-function axioms on an exhaustive ball", _cmd_axioms_check,
+            (_arg("--max-len", type=int, default=3), _arg("--max-letter", type=int, default=2))),
+
+    _query("to-triple", "canonical edge coordinates of a tree point", to_triple,
+           [Pos("point", parse_tree_point)], format_triple, "triple"),
+    _query("from-triple", "tree point named by edge coordinates", from_triple,
+           [Pos("triple", parse_triple, "'(<word> ; a<k>^<p> ; <vector>)' or a bare word")],
+           format_tree_point, "point"),
+    _query("triple-act", "act in edge coordinates", act_triple,
+           [Pos("word", parse_word), Pos("triple", parse_triple)], format_triple, "triple"),
+    Command("triple-dist", "exact distance plus shortcut-formula comparison", _cmd_triple_dist,
+            (_arg("left"), _arg("right"))),
+    _query("project", "projection to the wedge of circles", project,
+           [Pos("triple", parse_triple)], format_circle_point, "circle_point"),
+    _query("circle-dist", "distance on the wedge of circles", circle_dist,
+           [Pos("left", parse_circle_point, "point as 'C(a<k>) @ <vector>'"), Pos("right", parse_circle_point)],
+           format_vector, "distance"),
+
+    _query("cayley-dist", "graph distance (rational coordinates)", cayley_dist,
+           [Pos("left", parse_cayley_point, "'(<word> ; a<k>^<p> ; <t>)' with rational t, or a bare word"),
+            Pos("right", parse_cayley_point)],
+           format_vector, "distance"),
+    _query("cayley-act", "act on a graph point", cayley_act,
+           [Pos("word", parse_word), Pos("point", parse_cayley_point)], format_cayley_point, "point"),
+    Command("embed-compare", "compare the two edge embeddings", _cmd_embed_compare, (
+        _arg("word"),
+        _arg("letter", help="a<k> or b"),
+        _arg("--points", type=int, default=100, help="rational grid resolution (default 100)"),
+    )),
+    Command("ball", "finite ball as DOT or JSON", _cmd_ball, (
+        _arg("max_len", type=int),
+        _arg("max_letter", type=int),
+        _arg("--center", default="", help="center word (default identity)"),
+        _arg("--cap", type=int, default=100_000, help="vertex-count guard"),
+        [_arg("--dot", dest="as_json", action="store_false"),
+         _arg("--json", dest="as_json", action="store_true")],
+    ), json_flag=False),
+
+    Command("ball-letter", "letter-ball membership", _cmd_ball_letter,
+            (_arg("center"), _arg("letter", help="threshold letter a<k> or b"), _arg("word"))),
+    Command("ball-metric", "metric-ball membership", _cmd_ball_metric,
+            (_arg("center"), _arg("eps", help="positive radius vector"), _arg("word"))),
+
+    Command("demo", "run a named demonstration", _cmd_demo,
+            (_arg("name", choices=("omega-plus-one",)), _arg("--depth", type=int, default=8))),
+    Command("suite", "run all property suites", _cmd_suite,
+            (_arg("--samples", type=int, default=10000), _arg("--seed", type=int, default=0)),
+            json_flag=False),
+)
+
+
+def _add_arguments(target, specs) -> None:
+    for spec in specs:
+        if isinstance(spec, list):
+            _add_arguments(target.add_mutually_exclusive_group(required=True), spec)
+        else:
+            flags, options = spec
+            target.add_argument(*flags, **options)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -322,102 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     query = argparse.ArgumentParser(add_help=False)
     query.add_argument("--json", action="store_true", help="machine-readable output")
 
-    def add(name, handler, help_text, *parents):
-        p = sub.add_parser(name, parents=[common, *parents], help=help_text)
-        p.set_defaults(func=handler)
-        return p
-
-    p = add("reduce", _cmd_reduce, "reduced form of a word", query)
-    p.add_argument("word")
-    p = add("mul", _cmd_mul, "product of two words (reduced)", query)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("inv", _cmd_inv, "inverse word", query)
-    p.add_argument("word")
-    p = add("len", _cmd_len, "length vector of a word", query)
-    p.add_argument("word")
-    p = add("dist", _cmd_dist, "vector distance between two words", query)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("gromov", _cmd_gromov, "Gromov product at the identity", query)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("prefix", _cmd_prefix, "longest common initial segment", query)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("subwords", _cmd_subwords, "all initial segments in order", query)
-    p.add_argument("word")
-    p = add("cancel-verify", _cmd_cancel_verify, "check a cancellation pairing", query)
-    p.add_argument("word")
-    p.add_argument("pairs", help="comma-separated i-j position pairs")
-
-    p = add("tree-dist", _cmd_tree_dist, "distance between tree points", query)
-    p.add_argument("left", help="point as '<vector> @ <word>'")
-    p.add_argument("right")
-    p = add("tree-act", _cmd_tree_act, "act on a tree point", query)
-    p.add_argument("word")
-    p.add_argument("point")
-    p = add("y", _cmd_y, "median word of three group elements", query)
-    p.add_argument("v")
-    p.add_argument("x")
-    p.add_argument("y")
-    p = add("axioms-check", _cmd_axioms_check, "length-function axioms on an exhaustive ball", query)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--max-letter", type=int, default=2)
-
-    p = add("to-triple", _cmd_to_triple, "canonical edge coordinates of a tree point", query)
-    p.add_argument("point")
-    p = add("from-triple", _cmd_from_triple, "tree point named by edge coordinates", query)
-    p.add_argument("triple", help="'(<word> ; a<k>^<p> ; <vector>)' or a bare word")
-    p = add("triple-act", _cmd_triple_act, "act in edge coordinates", query)
-    p.add_argument("word")
-    p.add_argument("triple")
-    p = add("triple-dist", _cmd_triple_dist, "exact distance plus shortcut-formula comparison", query)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = add("project", _cmd_project, "projection to the wedge of circles", query)
-    p.add_argument("triple")
-    p = add("circle-dist", _cmd_circle_dist, "distance on the wedge of circles", query)
-    p.add_argument("left", help="point as 'C(a<k>) @ <vector>'")
-    p.add_argument("right")
-
-    p = add("cayley-dist", _cmd_cayley_dist, "graph distance (rational coordinates)", query)
-    p.add_argument("left", help="'(<word> ; a<k>^<p> ; <t>)' with rational t, or a bare word")
-    p.add_argument("right")
-    p = add("cayley-act", _cmd_cayley_act, "act on a graph point", query)
-    p.add_argument("word")
-    p.add_argument("point")
-    p = add("embed-compare", _cmd_embed_compare, "compare the two edge embeddings", query)
-    p.add_argument("word")
-    p.add_argument("letter", help="a<k> or b")
-    p.add_argument("--points", type=int, default=100, help="rational grid resolution (default 100)")
-
-    p = add("ball", _cmd_ball, "finite ball as DOT or JSON")
-    p.add_argument("max_len", type=int)
-    p.add_argument("max_letter", type=int)
-    p.add_argument("--center", default="", help="center word (default identity)")
-    p.add_argument("--cap", type=int, default=100_000, help="vertex-count guard")
-    fmt = p.add_mutually_exclusive_group(required=True)
-    fmt.add_argument("--dot", dest="as_json", action="store_false")
-    fmt.add_argument("--json", dest="as_json", action="store_true")
-
-    p = add("ball-letter", _cmd_ball_letter, "letter-ball membership", query)
-    p.add_argument("center")
-    p.add_argument("letter", help="threshold letter a<k> or b")
-    p.add_argument("word")
-    p = add("ball-metric", _cmd_ball_metric, "metric-ball membership", query)
-    p.add_argument("center")
-    p.add_argument("eps", help="positive radius vector")
-    p.add_argument("word")
-
-    p = add("demo", _cmd_demo, "run a named demonstration", query)
-    p.add_argument("name", choices=("omega-plus-one",))
-    p.add_argument("--depth", type=int, default=8)
-
-    p = add("suite", _cmd_suite, "run all property suites")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, parents=[common, query] if cmd.json_flag else [common], help=cmd.help)
+        p.set_defaults(func=cmd.run)
+        _add_arguments(p, cmd.args)
     return parser
 
 

@@ -259,9 +259,6 @@ class LexVector:
     def double(self) -> "LexVector":
         return self + self  # __add__ already stores whole Fractions as ints
 
-    def is_integral(self) -> bool:
-        return all(isinstance(v, int) for _, v in self.entries)
-
     def __str__(self):
         return format_vector(self)
 

@@ -378,7 +378,8 @@ def parse_word(text: str, alphabet: Alphabet = OMEGA) -> Word:
             raise ParseError(f"zero exponent in token {token!r} at position {m.start() + 1}")
         sign = 1 if exp > 0 else -1
         letters.extend((idx, sign) for _ in range(abs(exp)))
-    return Word(letters)
+    letters = tuple(letters)
+    return Word._make(letters, _is_reduced(letters))  # the token grammar and alphabet checked each letter
 
 
 def format_word(w: Word) -> str:
@@ -402,16 +403,10 @@ def format_word(w: Word) -> str:
 
 @dataclass(frozen=True)
 class WordStream:
-    """Letter rule on positions 1,2,3,... read forward or in reverse.
-
-    ``multiplicity_bound`` certifies that no single letter occurs more than
-    that many times across the whole stream, so every truncation (and the
-    ideal limit) is a legitimate word.
-    """
+    """Letter rule on positions 1,2,3,... read forward or in reverse."""
 
     rule: Callable[[int], Letter]
     orientation: str = "forward"  # or "reverse"
-    multiplicity_bound: Optional[int] = 1
 
     def __post_init__(self):
         if self.orientation not in ("forward", "reverse"):
@@ -428,9 +423,9 @@ def truncate(stream: WordStream, k: int) -> Word:
 
 def harmonic_stream() -> WordStream:
     """a1 a2 a3 ... read forward."""
-    return WordStream(lambda k: (k, 1), "forward", 1)
+    return WordStream(lambda k: (k, 1), "forward")
 
 
 def reversed_harmonic_stream() -> WordStream:
     """... a3 a2 a1: truncation at depth k is a_k ... a2 a1."""
-    return WordStream(lambda k: (k, 1), "reverse", 1)
+    return WordStream(lambda k: (k, 1), "reverse")

@@ -1,6 +1,7 @@
 """Graph points over rationals: metric, action, embeddings, ball export."""
 
 import json
+import re
 from fractions import Fraction
 from random import Random
 
@@ -23,7 +24,9 @@ from bigfree.cayley import (
 )
 from bigfree.ordered_abelian import BigFreeError, LexVector, ZERO
 from bigfree.sampling import random_cayley_point, random_reduced_word
-from bigfree.words import IDENTITY, double_gromov, inverse, length_vector, multiply, parse_word, word_dist
+from bigfree.words import (
+    IDENTITY, double_gromov, format_word, inverse, length_vector, multiply, parse_word, word_dist,
+)
 
 
 def W(text):
@@ -211,6 +214,21 @@ def test_ball_json_schema():
     assert len(payload["edges"]) == len(payload["vertices"]) - 1
     for edge in payload["edges"]:
         assert set(edge) == {"from", "to", "label"}
+
+
+
+def test_ball_exports_name_each_child_by_the_product_even_toward_the_identity():
+    graph = ball_graph(W("a1"), 2, 2)  # children of a1 and of a1 a2^-1 cancel toward the identity
+    edges = json.loads(ball_json(graph))["edges"]
+    assert any(edge["to"] == "" for edge in edges)
+    for edge in edges:
+        assert edge["to"] == format_word(multiply(W(edge["from"]), W(edge["label"])))
+    expected = []
+    for edge in edges:
+        parent, child = edge["from"] or "1", edge["to"] or "1"
+        name = edge["label"].split("^")[0]
+        expected.append((parent, child, name) if edge["label"] == name else (child, parent, name))
+    assert re.findall(r'"(.*?)" -> "(.*?)" \[label="(.*?)"\];', ball_dot(graph)) == expected
 
 
 # -- text form --------------------------------------------------------------------------

@@ -130,6 +130,44 @@ def test_json_mode(capsys):
     assert json.loads(out) == {"triple": "(a2 ; a1^1 ; [1,-1])"}
 
 
+
+@pytest.mark.parametrize("argv, key", [
+    (["reduce", "a1 a1^-1 a2"], "word"),
+    (["mul", "a1 a2", "a2^-1 a1"], "word"),
+    (["inv", "a1 a2^-1"], "word"),
+    (["len", "a1 a2 a1^-1"], "length"),
+    (["dist", "a1 a2", "a1 a3"], "distance"),
+    (["gromov", "a1 a2", "a1 a3"], "gromov"),
+    (["prefix", "a1 a2", "a1 a3"], "word"),
+    (["tree-dist", "[1,1] @ a1 a2", "[1,0,1] @ a1 a3"], "distance"),
+    (["tree-act", "a1", "[1] @ a1^-1 a2"], "point"),
+    (["y", "", "a1 a2", "a1 a3"], "word"),
+    (["to-triple", "[1] @ a2 a1"], "triple"),
+    (["from-triple", "(a2 ; a1^1 ; [1,-1])"], "point"),
+    (["triple-act", "a1", "( ; a1^-1 ; [0,1])"], "triple"),
+    (["project", "( ; a1^-1 ; [0,1])"], "circle_point"),
+    (["circle-dist", "C(a1) @ [1,-1]", "C(a1) @ []"], "distance"),
+    (["cayley-dist", "( ; a1^1 ; 1/2)", ""], "distance"),
+    (["cayley-act", "a1", "( ; a1^-1 ; 1/3)"], "point"),
+])
+def test_json_mode_wraps_the_text_output_under_one_key(capsys, argv, key):
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out) == {key: text[:-1]}
+
+
+@pytest.mark.parametrize("argv, inside", [
+    (["ball-letter", "a1", "a3", "a1 a5"], True),
+    (["ball-letter", "a1", "a3", "a1 a2"], False),
+    (["ball-metric", "", "[1]", "a2^3 a5"], True),
+    (["ball-metric", "", "[0,1]", "a2"], False),
+])
+def test_json_mode_of_ball_membership_is_a_bool(capsys, argv, inside):
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out) == {"inside": inside}
+
+
 def test_alphabet_flag(capsys):
     code, _, err = run(capsys, "reduce", "b b^-1")
     assert code == 1 and "error" in err  # TOP letter rejected in the omega instance

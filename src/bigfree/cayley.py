@@ -241,8 +241,9 @@ format_cayley_point = format_edge_point
 def _parse_t(text: str) -> Fraction:
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad edge parameter {text!r}: {exc}") from None
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(
+            f"bad edge parameter {text!r} (want a rational p/q with q nonzero, or a decimal)") from None
 
 
 def parse_cayley_point(text: str, alphabet: Alphabet = OMEGA) -> GraphPoint:

@@ -313,8 +313,9 @@ def _parse_coord(text: str, where: str) -> Coord:
             num, den = text.split("/", 1)
             return Fraction(int(num), int(den))
         return int(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad coordinate {text!r} in {where}: {exc}") from None
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(
+            f"bad coordinate {text!r} in {where} (want an integer or p/q with q nonzero)") from None
 
 
 def parse_vector(text: str, alphabet: Alphabet = OMEGA) -> LexVector:

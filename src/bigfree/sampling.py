@@ -1,4 +1,11 @@
-"""Seeded sample generators shared by the property suites and the tests."""
+"""Seeded sample generators shared by the property suites and the tests.
+
+Stream contract: ``random_word`` and ``random_reduced_word`` draw through
+``rng._randbelow`` exactly as CPython's ``randint(a, b)``
+(``a + _randbelow(b - a + 1)``) and ``choice(s)`` (``s[_randbelow(len(s))]``)
+do, so their samples and the generator state after them are those of the
+``randint``/``choice`` formulation; ``tests/test_sampling.py`` pins this.
+"""
 
 from __future__ import annotations
 
@@ -11,22 +18,32 @@ from .cayley import GraphPoint, cayley_point
 from .ordered_abelian import LexVector, ZERO
 from .tree import TreePoint
 from .triples import EdgeTriple
-from .words import Cancellation, Word, length_vector
+from .words import Cancellation, Word, _is_reduced, length_vector
+
+
+def _check_ranges(max_len: int, max_index: int) -> None:
+    # randint raised on these; _randbelow(0) would loop forever
+    if max_len < 0 or max_index < 1:
+        raise ValueError(f"empty range: max_len={max_len}, max_index={max_index}")
 
 
 def random_word(rng: Random, max_len: int, max_index: int) -> Word:
     """Uniform letters, cancellations allowed."""
-    n = rng.randint(0, max_len)
-    return Word((rng.randint(1, max_index), rng.choice((1, -1))) for _ in range(n))
+    _check_ranges(max_len, max_index)
+    below = rng._randbelow
+    letters = tuple([(1 + below(max_index), (1, -1)[below(2)]) for _ in range(below(max_len + 1))])
+    return Word._make(letters, _is_reduced(letters))
 
 
 def random_reduced_word(rng: Random, max_len: int, max_index: int) -> Word:
     """Non-backtracking walk of uniform length."""
-    n = rng.randint(0, max_len)
+    _check_ranges(max_len, max_index)
+    below = rng._randbelow
+    n = below(max_len + 1)
     letters: List[tuple] = []
     for _ in range(n):
         while True:
-            lt = (rng.randint(1, max_index), rng.choice((1, -1)))
+            lt = (1 + below(max_index), (1, -1)[below(2)])
             if not letters or letters[-1] != (lt[0], -lt[1]):
                 break
         letters.append(lt)

@@ -2,6 +2,9 @@
 
 Each property draws its own deterministic generator from the global seed,
 runs a batch of checks, and reports a count plus the first few failures.
+Failure messages that format values are passed as zero-argument callables
+and built only when a check fails, so passing checks format no words or
+vectors.
 Exhaustive small-word sweeps encode exact vector values into
 order-preserving integer keys and sweep the triple quantifiers with numpy;
 everything asserted is an exact integer/rational identity.
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,10 +95,11 @@ class _Recorder:
     def count(self, n: int = 1) -> None:
         self.checks += n
 
-    def expect(self, condition: bool, message: str) -> None:
+    def expect(self, condition: bool, message: Union[str, Callable[[], str]]) -> None:
+        """Count one check; on failure record ``message``, calling it first if callable."""
         self.checks += 1
         if not condition:
-            self.fail(message)
+            self.fail(message if isinstance(message, str) else message())
 
     def fail(self, message: str) -> None:
         if len(self.failures) < MAX_REPORTED_FAILURES:
@@ -190,14 +194,14 @@ def _check_order_reference(rec: _Recorder, rng: Random, samples: int) -> None:
         for tb, vb in keyed:
             got = va.compare(vb)
             want = -1 if ta < tb else (0 if ta == tb else 1)
-            rec.expect(got == want, f"compare({va}, {vb}) = {got}, reference {want}")
+            rec.expect(got == want, lambda: f"compare({va}, {vb}) = {got}, reference {want}")
     # trichotomy on the omega+1 fringe
     fringe = sampling.enumerate_small_vectors((1, 2, TOP), bound=1)
     for va in fringe:
         for vb in fringe:
             c1, c2 = va.compare(vb), vb.compare(va)
             rec.expect(c1 == -c2 and ((c1 == 0) == (va == vb)),
-                       f"trichotomy fails for {va}, {vb}")
+                       lambda: f"trichotomy fails for {va}, {vb}")
 
 
 def _check_order_transitivity(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -210,13 +214,13 @@ def _check_order_transitivity(rec: _Recorder, rng: Random, samples: int) -> None
     rec.count(n * n)
     reach = le.astype(np.int16) @ le.astype(np.int16) > 0
     bad = int(np.count_nonzero(reach & ~le))
-    rec.expect(bad == 0, f"{bad} transitivity violations over the enumeration")
+    rec.expect(bad == 0, lambda: f"{bad} transitivity violations over the enumeration")
     for _ in range(samples):
         x = sampling.random_small_vector(rng, 5, 6)
         y = sampling.random_small_vector(rng, 5, 6)
         z = sampling.random_small_vector(rng, 5, 6)
         if x <= y <= z:
-            rec.expect(x <= z, f"transitivity fails at {x}, {y}, {z}")
+            rec.expect(x <= z, lambda: f"transitivity fails at {x}, {y}, {z}")
         else:
             rec.count()
 
@@ -227,33 +231,33 @@ def _check_translation_invariance(rec: _Recorder, rng: Random, samples: int) -> 
         for vb in vectors:
             total = va + vb
             rec.expect(all(total.get(i) == va.get(i) + vb.get(i) for i in (1, 2, 3)),
-                       f"add({va}, {vb}) disagrees with pointwise sum")
+                       lambda: f"add({va}, {vb}) disagrees with pointwise sum")
     for _ in range(samples):
         x = sampling.random_small_vector(rng, 5, 4)
         y = sampling.random_small_vector(rng, 5, 4)
         z = sampling.random_small_vector(rng, 5, 4)
         rec.expect((x + z).compare(y + z) == x.compare(y),
-                   f"translation by {z} reorders {x}, {y}")
+                   lambda: f"translation by {z} reorders {x}, {y}")
 
 
 def _check_abs_laws(rec: _Recorder, rng: Random, samples: int) -> None:
     vectors = sampling.enumerate_small_vectors((1, 2, 3), bound=2)
     for v in vectors:
-        rec.expect(abs(v) >= ZERO, f"abs({v}) negative")
-        rec.expect((abs(v) == ZERO) == v.is_zero(), f"abs({v}) definiteness")
+        rec.expect(abs(v) >= ZERO, lambda: f"abs({v}) negative")
+        rec.expect((abs(v) == ZERO) == v.is_zero(), lambda: f"abs({v}) definiteness")
     for _ in range(samples):
         x = sampling.random_small_vector(rng, 5, 4)
         y = sampling.random_small_vector(rng, 5, 4)
-        rec.expect(abs(x + y) <= abs(x) + abs(y), f"abs subadditivity fails at {x}, {y}")
+        rec.expect(abs(x + y) <= abs(x) + abs(y), lambda: f"abs subadditivity fails at {x}, {y}")
 
 
 def _check_half_exact(rec: _Recorder, rng: Random, samples: int) -> None:
     vectors = sampling.enumerate_small_vectors((1, 2, 3), bound=2)
     for v in vectors:
-        rec.expect(half_exact(v + v) == v, f"half_exact({v}+{v}) != {v}")
+        rec.expect(half_exact(v + v) == v, lambda: f"half_exact({v}+{v}) != {v}")
     for _ in range(samples):
         x = sampling.random_small_vector(rng, 6, 9)
-        rec.expect(half_exact(x.double()) == x, f"half_exact doubling fails at {x}")
+        rec.expect(half_exact(x.double()) == x, lambda: f"half_exact doubling fails at {x}")
 
 
 # -- words --------------------------------------------------------------------------
@@ -285,20 +289,21 @@ def _check_cancellation_class(rec: _Recorder, rng: Random, samples: int) -> None
         w = sampling.random_word(rng, 30, 6)
         c = sampling.random_cancellation(rng, w)
         if c is None:
-            rec.expect(w.reduced, f"no cancellation found in unreduced {format_word(w)!r}")
+            rec.expect(w.reduced, lambda: f"no cancellation found in unreduced {format_word(w)!r}")
             continue
-        rec.expect(verify_cancellation(w, c).ok, f"generated cancellation invalid on {format_word(w)!r}")
+        rec.expect(verify_cancellation(w, c).ok,
+                   lambda: f"generated cancellation invalid on {format_word(w)!r}")
         rec.expect(reduce(apply_cancellation(w, c)) == reduce(w),
-                   f"cancellation changed the class of {format_word(w)!r}")
+                   lambda: f"cancellation changed the class of {format_word(w)!r}")
 
 
 def _metric_axiom_failures(d, points, rec: _Recorder, label: str) -> None:
     p, q, r = points
     dpq, dqp = d(p, q), d(q, p)
-    rec.expect(dpq == dqp, f"{label}: symmetry fails")
-    rec.expect(dpq >= ZERO, f"{label}: negative distance")
-    rec.expect(d(p, p) == ZERO, f"{label}: nonzero self distance")
-    rec.expect(d(p, r) <= dpq + d(q, r), f"{label}: triangle inequality fails")
+    rec.expect(dpq == dqp, lambda: f"{label}: symmetry fails")
+    rec.expect(dpq >= ZERO, lambda: f"{label}: negative distance")
+    rec.expect(d(p, p) == ZERO, lambda: f"{label}: nonzero self distance")
+    rec.expect(d(p, r) <= dpq + d(q, r), lambda: f"{label}: triangle inequality fails")
 
 
 def _check_word_metric_random(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -319,10 +324,10 @@ def _check_word_metric_exhaustive(rec: _Recorder, rng: Random, samples: int) -> 
                "definiteness fails on the enumeration")
     bad = exhaustive_triangle_violations(dist)
     rec.count(len(words) ** 3)
-    rec.expect(bad == 0, f"{bad} exhaustive triangle violations")
+    rec.expect(bad == 0, lambda: f"{bad} exhaustive triangle violations")
     bad_hyp = exhaustive_two_smallest_violations(two_c)
     rec.count(len(words) ** 3)
-    rec.expect(bad_hyp == 0, f"{bad_hyp} exhaustive zero-hyperbolicity violations")
+    rec.expect(bad_hyp == 0, lambda: f"{bad_hyp} exhaustive zero-hyperbolicity violations")
 
 
 def _check_zero_hyperbolic_random(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -332,14 +337,14 @@ def _check_zero_hyperbolic_random(rec: _Recorder, rng: Random, samples: int) -> 
         u = sampling.random_reduced_word(rng, 40, 8)
         rec.expect(
             two_smallest_equal(double_gromov(w, v), double_gromov(w, u), double_gromov(v, u)),
-            f"triple {format_word(w)!r}, {format_word(v)!r}, {format_word(u)!r} not 0-hyperbolic")
+            lambda: f"triple {format_word(w)!r}, {format_word(v)!r}, {format_word(u)!r} not 0-hyperbolic")
 
 
 def _check_length_nonnegative(rec: _Recorder, rng: Random, samples: int) -> None:
     witness = LexVector([(1, 1), (2, -1)])
     for w in sampling.enumerate_reduced_words(4, 4):
         lv = length_vector(w)
-        rec.expect(all(v >= 0 for _, v in lv.entries), f"negative coordinate in L({format_word(w)!r})")
+        rec.expect(all(v >= 0 for _, v in lv.entries), lambda: f"negative coordinate in L({format_word(w)!r})")
         rec.expect(lv != witness, "a word realizes the non-geodesic gap value")
     for _ in range(samples):
         lv = length_vector(sampling.random_word(rng, 40, 8))
@@ -356,7 +361,7 @@ def _check_gromov_prefix(rec: _Recorder, rng: Random, samples: int) -> None:
         definitional = half_exact(
             length_vector(g) + length_vector(h) - length_vector(multiply(inverse(g), h)))
         rec.expect(gromov(g, h) == definitional,
-                   f"gromov/definitional mismatch at {format_word(g)!r}, {format_word(h)!r}")
+                   lambda: f"gromov/definitional mismatch at {format_word(g)!r}, {format_word(h)!r}")
 
 
 def _check_subwords(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -369,10 +374,10 @@ def _check_subwords(rec: _Recorder, rng: Random, samples: int) -> None:
                    "subword lengths not strictly increasing")
         member = set(subs)
         for v in subs:
-            rec.expect(is_subword(v, w), f"prefix of {format_word(w)!r} rejected by is_subword")
+            rec.expect(is_subword(v, w), lambda: f"prefix of {format_word(w)!r} rejected by is_subword")
         probe = sampling.random_reduced_word(rng, 15, 5)
         rec.expect(is_subword(probe, w) == (probe in member),
-                   f"is_subword({format_word(probe)!r}, {format_word(w)!r}) disagrees with the prefix list")
+                   lambda: f"is_subword({format_word(probe)!r}, {format_word(w)!r}) disagrees with the prefix list")
 
 
 def _check_stream_cauchy(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -383,7 +388,7 @@ def _check_stream_cauchy(rec: _Recorder, rng: Random, samples: int) -> None:
             d = word_dist(truncations[j], truncations[k])
             floor = min(j, k)
             rec.expect(all(idx > floor for idx, _ in d.entries),
-                       f"truncations {j}, {k} differ at or below index {floor}")
+                       lambda: f"truncations {j}, {k} differ at or below index {floor}")
 
 
 # -- tree ----------------------------------------------------------------------------
@@ -394,7 +399,7 @@ def _check_tree_isometry(rec: _Recorder, rng: Random, samples: int) -> None:
         p = sampling.random_tree_point(rng)
         q = sampling.random_tree_point(rng)
         rec.expect(tree_dist(tree_act(h, p), tree_act(h, q)) == tree_dist(p, q),
-                   f"action by {format_word(h)!r} distorts distance")
+                   lambda: f"action by {format_word(h)!r} distorts distance")
 
 
 def _check_tree_action_laws(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -404,7 +409,7 @@ def _check_tree_action_laws(rec: _Recorder, rng: Random, samples: int) -> None:
         h2 = sampling.random_reduced_word(rng, 10, 5)
         rec.expect(point_eq(tree_act(IDENTITY, p), p), "identity moves a point")
         rec.expect(point_eq(tree_act(h1, tree_act(h2, p)), tree_act(multiply(h1, h2), p)),
-                   f"composition law fails for {format_word(h1)!r}, {format_word(h2)!r}")
+                   lambda: f"composition law fails for {format_word(h1)!r}, {format_word(h2)!r}")
 
 
 def _check_tree_freeness(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -414,7 +419,7 @@ def _check_tree_freeness(rec: _Recorder, rng: Random, samples: int) -> None:
             rec.count()
             continue
         p = sampling.random_tree_point(rng)
-        rec.expect(not point_eq(tree_act(u, p), p), f"{format_word(u)!r} fixes a point")
+        rec.expect(not point_eq(tree_act(u, p), p), lambda: f"{format_word(u)!r} fixes a point")
 
 
 def _check_no_inversions(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -431,7 +436,7 @@ def _check_no_inversions(rec: _Recorder, rng: Random, samples: int) -> None:
             point_eq(tree_act(u, word_point(v)), word_point(va))
             and point_eq(tree_act(u, word_point(va)), word_point(v))
         )
-        rec.expect(not swapped, f"{format_word(u)!r} inverts the edge at {format_word(v)!r}")
+        rec.expect(not swapped, lambda: f"{format_word(u)!r} inverts the edge at {format_word(v)!r}")
 
 
 def _check_surjectivity_formula(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -446,7 +451,7 @@ def _check_surjectivity_formula(rec: _Recorder, rng: Random, samples: int) -> No
         else:
             preimage = TreePoint(h_len + m - two_c, multiply(inverse(h), k))
         rec.expect(point_eq(tree_act(h, preimage), target),
-                   f"preimage formula misses {target} under {format_word(h)!r}")
+                   lambda: f"preimage formula misses {target} under {format_word(h)!r}")
 
 
 def _check_tree_zero_hyperbolic(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -467,14 +472,14 @@ def _check_geodesic_alignment(rec: _Recorder, rng: Random, samples: int) -> None
         p = sampling.random_tree_point(rng)
         end = word_point(p.g)
         rec.expect(tree_dist(BASEPOINT, p) + tree_dist(p, end) == p.word_length,
-                   f"point {p} off the geodesic to its word")
+                   lambda: f"point {p} off the geodesic to its word")
 
 
 def _check_bf_length_axioms(rec: _Recorder, rng: Random, samples: int) -> None:
     sample = sampling.enumerate_reduced_words(3, 2)
     violation = check_length_axioms(bf_length_oracle(), sample)
     rec.count(len(sample) ** 3)
-    rec.expect(violation is None, f"length axioms violated: {violation}")
+    rec.expect(violation is None, lambda: f"length axioms violated: {violation}")
 
 
 # -- triples ------------------------------------------------------------------------
@@ -482,9 +487,9 @@ def _check_bf_length_axioms(rec: _Recorder, rng: Random, samples: int) -> None:
 def _check_triple_round_trip(rec: _Recorder, rng: Random, samples: int) -> None:
     for _ in range(samples):
         p = sampling.random_tree_point(rng)
-        rec.expect(point_eq(from_triple(to_triple(p)), p), f"round trip moves {p}")
+        rec.expect(point_eq(from_triple(to_triple(p)), p), lambda: f"round trip moves {p}")
         e = sampling.random_edge_triple(rng)
-        rec.expect(to_triple(from_triple(e)) == e, f"round trip changes {e}")
+        rec.expect(to_triple(from_triple(e)) == e, lambda: f"round trip changes {e}")
 
 
 def _check_triple_equivariance(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -492,7 +497,7 @@ def _check_triple_equivariance(rec: _Recorder, rng: Random, samples: int) -> Non
         u = sampling.random_reduced_word(rng, 10, 5)
         e = sampling.random_edge_triple(rng)
         rec.expect(point_eq(from_triple(act_triple(u, e)), tree_act(u, from_triple(e))),
-                   f"action in triple coordinates disagrees at {e}")
+                   lambda: f"action in triple coordinates disagrees at {e}")
 
 
 def _check_orbit_projection(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -500,17 +505,17 @@ def _check_orbit_projection(rec: _Recorder, rng: Random, samples: int) -> None:
         e = sampling.random_edge_triple(rng)
         u = sampling.random_reduced_word(rng, 10, 5)
         moved = act_triple(u, e)
-        rec.expect(project(moved) == project(e), f"projection not orbit-invariant at {e}")
+        rec.expect(project(moved) == project(e), lambda: f"projection not orbit-invariant at {e}")
         witness = orbit_witness(e, moved)
         rec.expect(witness is not None and act_triple(witness, e) == moved,
-                   f"no constructive witness from {e} to its translate")
+                   lambda: f"no constructive witness from {e} to its translate")
         other = sampling.random_edge_triple(rng)
         if project(other) != project(e):
             rec.expect(orbit_witness(e, other) is None, "witness produced across distinct projections")
         else:
             w2 = orbit_witness(e, other)
             rec.expect(w2 is not None and act_triple(w2, e) == other,
-                       f"projections match but no witness from {e} to {other}")
+                       lambda: f"projections match but no witness from {e} to {other}")
 
 
 def _check_quotient_surjectivity(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -523,7 +528,7 @@ def _check_quotient_surjectivity(rec: _Recorder, rng: Random, samples: int) -> N
                           LexVector.unit(index) - LexVector.unit(index + j, c)):
                     e = EdgeTriple(IDENTITY, index, 1, s)
                     rec.expect(project(e) == CirclePoint(index, s),
-                               f"grid point {s} on circle {index} not hit")
+                               lambda: f"grid point {s} on circle {index} not hit")
 
 
 def _check_circle_metric(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -555,14 +560,14 @@ def _check_edge_interior(rec: _Recorder, rng: Random, samples: int) -> None:
     for _ in range(samples):
         e = sampling.random_edge_triple(rng)
         rec.expect(isinstance(to_triple(from_triple(e)), EdgeTriple),
-                   f"interior point {e} canonicalizes to a word")
+                   lambda: f"interior point {e} canonicalizes to a word")
 
 
 def _check_top_instability(rec: _Recorder, rng: Random, samples: int) -> None:
     for k, _, coords in top_edge_instability(20):
         rec.expect(isinstance(coords, EdgeTriple) and coords.edge_letter() == (k, 1)
                    and coords.w == IDENTITY and coords.t == LexVector.unit(TOP),
-                   f"depth {k} canonical edge letter is not a{k}")
+                   lambda: f"depth {k} canonical edge letter is not a{k}")
 
 
 # -- cayley -------------------------------------------------------------------------
@@ -596,7 +601,7 @@ def _check_cayley_action(rec: _Recorder, rng: Random, samples: int) -> None:
         x = sampling.random_cayley_point(rng)
         y = sampling.random_cayley_point(rng)
         rec.expect(cayley_dist(cayley_act(u, x), cayley_act(u, y)) == cayley_dist(x, y),
-                   f"graph action by {format_word(u)!r} distorts distance")
+                   lambda: f"graph action by {format_word(u)!r} distorts distance")
         rec.expect(cayley_act(IDENTITY, x) == x, "identity moves a graph point")
         rec.expect(cayley_act(u, cayley_act(v, x)) == cayley_act(multiply(u, v), x),
                    "graph action composition fails")
@@ -625,17 +630,17 @@ def _check_cayley_special_formulas(rec: _Recorder, rng: Random, samples: int) ->
             via_far = length_vector(multiply(inverse(dx), dy)) \
                 - la.scale(1 - tx) - lb.scale(1 - ty)
             rec.expect(via_far == exact,
-                       f"far-endpoint formula disagrees at {x}, {y}: {via_far} != {exact}")
+                       lambda: f"far-endpoint formula disagrees at {x}, {y}: {via_far} != {exact}")
         else:
             rec.count()
         if px.double() <= two_c:
             near = py - px
             if dx == dy and py < px:
                 # the stated expression flips sign when the second point is nearer
-                rec.expect(near == -exact, f"sign-flip class broken at {x}, {y}")
+                rec.expect(near == -exact, lambda: f"sign-flip class broken at {x}, {y}")
             else:
                 rec.expect(near == exact,
-                           f"inner-point formula disagrees at {x}, {y}: {near} != {exact}")
+                           lambda: f"inner-point formula disagrees at {x}, {y}: {near} != {exact}")
         else:
             rec.count()
 
@@ -671,7 +676,7 @@ def _check_embed_endpoints(rec: _Recorder, rng: Random, samples: int) -> None:
         w = sampling.random_reduced_word(rng, 10, 5)
         index = rng.randint(1, 5)
         rec.expect(embed_compare(w, index).endpoints_only(),
-                   f"edge embeddings of ({format_word(w)!r}, a{index}) meet off the endpoints")
+                   lambda: f"edge embeddings of ({format_word(w)!r}, a{index}) meet off the endpoints")
 
 
 # -- topology -------------------------------------------------------------------------
@@ -682,45 +687,48 @@ def _eps_family(a: int) -> List[LexVector]:
 
 
 def _check_letter_ball_inclusion(rec: _Recorder, rng: Random, samples: int) -> None:
+    units = {a: LexVector.unit(a) for a in (1, 2, 3, 4)}
     words = sampling.enumerate_reduced_words(2, 4)
     for w in words:
         for v in words:
             u = difference_word(w, v)
             ulen = length_vector(u)
             for a in (1, 2, 3):
-                if ulen < LexVector.unit(a):
+                if ulen < units[a]:
                     rec.expect(uses_only_letters_above(u, a),
-                               f"metric ball at index {a} leaks outside the letter ball")
+                               lambda: f"metric ball at index {a} leaks outside the letter ball")
                 else:
                     rec.count()
     for _ in range(samples):
         w = sampling.random_reduced_word(rng, 12, 6)
         v = sampling.random_reduced_word(rng, 12, 6)
         a = rng.randint(1, 4)
-        if in_metric_ball(w, LexVector.unit(a), v):
+        if in_metric_ball(w, units[a], v):
             rec.expect(in_letter_ball(w, a, v), "metric ball member outside letter ball")
         else:
             rec.count()
 
 
 def _check_metric_ball_inclusion(rec: _Recorder, rng: Random, samples: int) -> None:
+    families = {a: _eps_family(a) for a in (1, 2, 3, 4)}
     words = sampling.enumerate_reduced_words(2, 4)
     for w in words:
         for v in words:
             u = difference_word(w, v)
             ulen = length_vector(u)
             for a in (1, 2, 3):
-                for eps in _eps_family(a):
-                    if uses_only_letters_above(u, a + 1):
+                inside = uses_only_letters_above(u, a + 1)
+                for eps in families[a]:
+                    if inside:
                         rec.expect(ulen < eps,
-                                   f"letter ball at successor of {a} leaks outside eps = {eps}")
+                                   lambda: f"letter ball at successor of {a} leaks outside eps = {eps}")
                     else:
                         rec.count()
     for _ in range(samples):
         w = sampling.random_reduced_word(rng, 12, 6)
         v = sampling.random_reduced_word(rng, 12, 6)
         a = rng.randint(1, 4)
-        eps = _eps_family(a)[rng.randrange(4)]
+        eps = families[a][rng.randrange(4)]
         if in_letter_ball(w, a + 1, v):
             rec.expect(in_metric_ball(w, eps, v), "letter ball member outside metric ball")
         else:
@@ -734,7 +742,7 @@ def _check_stream_convergence(rec: _Recorder, rng: Random, samples: int) -> None
             for k in range(a + 1, a + 8):
                 u = difference_word(truncate(stream, j), truncate(stream, k))
                 rec.expect(uses_only_letters_above(u, a),
-                           f"truncations {j}, {k} not inside the letter ball at {a}")
+                           lambda: f"truncations {j}, {k} not inside the letter ball at {a}")
 
 
 # -- registry -----------------------------------------------------------------------

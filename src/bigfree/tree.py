@@ -229,12 +229,13 @@ def format_edge_point(x) -> str:
 def parse_edge_point(text: str, alphabet: Alphabet, build: Callable):
     """Inverse of ``format_edge_point``: a reduced bare word, or build(w, index, sign, offset text)."""
     raw = text.strip()
-    if not (raw.startswith("(") and raw.endswith(")")):
+    if not raw.startswith("("):
         w = parse_word(raw, alphabet)
         if not w.reduced:
             raise BigFreeError("bare-word point must be reduced")
         return w
-    parts = raw[1:-1].split(";", 2)  # the offset may hold ";TOP="; word and letter never do
+    # the offset may hold ";TOP="; word and letter never do
+    parts = raw[1:-1].split(";", 2) if raw.endswith(")") else ()
     if len(parts) != 3:
         raise BigFreeError(f"edge point must be '(<word> ; a<k>^<p> ; <offset>)', got {text!r}")
     w = parse_word(parts[0].strip(), alphabet)

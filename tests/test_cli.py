@@ -184,6 +184,29 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["ball-metric", "", "[x]", "a1"],
+    ["ball-metric", "", "[1/0]", "a1"],
+    ["cayley-dist", "( ; a1^1 ; 1/0)", ""],
+    ["cayley-dist", "( ; a1^1 ; abc)", ""],
+])
+def test_bad_numbers_are_one_line_errors_in_grammar_terms(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(leak in err for leak in ("int()", "Fraction(", "literal"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["from-triple", "( ; a1^1 ; [0,1]"],
+    ["cayley-dist", "( ; a1^1 ; 1/2", ""],
+])
+def test_unclosed_edge_point_names_its_grammar(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: edge point must be '(<word> ; a<k>^<p> ; <offset>)', got {argv[1]!r}\n"
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

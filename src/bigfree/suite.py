@@ -78,11 +78,12 @@ class PropertyResult:
     name: str
     checks: int
     failures: List[str] = field(default_factory=list)
+    error: Optional[str] = None  # "<Type>: <message>" of an exception that ended the property
 
     @property
     def ok(self) -> bool:
-        """Passed: ran at least one check and recorded no failure."""
-        return self.checks > 0 and not self.failures
+        """Passed: ran at least one check, recorded no failure and raised nothing."""
+        return self.checks > 0 and not self.failures and self.error is None
 
 
 class _Recorder:
@@ -336,7 +337,7 @@ def _check_zero_hyperbolic_random(rec: _Recorder, rng: Random, samples: int) -> 
         v = sampling.random_reduced_word(rng, 40, 8)
         u = sampling.random_reduced_word(rng, 40, 8)
         rec.expect(
-            two_smallest_equal(double_gromov(w, v), double_gromov(w, u), double_gromov(v, u)),
+            two_smallest_equal(gromov(w, v), gromov(w, u), gromov(v, u)),
             lambda: f"triple {format_word(w)!r}, {format_word(v)!r}, {format_word(u)!r} not 0-hyperbolic")
 
 
@@ -471,7 +472,7 @@ def _check_geodesic_alignment(rec: _Recorder, rng: Random, samples: int) -> None
     for _ in range(samples):
         p = sampling.random_tree_point(rng)
         end = word_point(p.g)
-        rec.expect(tree_dist(BASEPOINT, p) + tree_dist(p, end) == p.word_length,
+        rec.expect(tree_dist(BASEPOINT, p) + tree_dist(p, end) == length_vector(p.g),
                    lambda: f"point {p} off the geodesic to its word")
 
 
@@ -794,8 +795,12 @@ def run_all(samples: int = 10000, seed: int = 0) -> List[PropertyResult]:
     for module, name, fn in PROPERTIES:
         rng = Random(f"{seed}:{module}:{name}")
         rec = _Recorder()
-        fn(rec, rng, samples)
-        results.append(PropertyResult(module, name, rec.checks, rec.failures))
+        error = None
+        try:
+            fn(rec, rng, samples)
+        except Exception as exc:  # one raising property must not end the run
+            error = f"{type(exc).__name__}: {exc}"
+        results.append(PropertyResult(module, name, rec.checks, rec.failures, error))
     return results
 
 
@@ -803,9 +808,9 @@ def format_results(results: List[PropertyResult]) -> str:
     lines = []
     failed = 0
     for r in results:
-        status = "PASS" if r.ok else "FAIL" if r.failures else "EMPTY"
+        status = "PASS" if r.ok else "ERROR" if r.error else "FAIL" if r.failures else "EMPTY"
         lines.append(f"[{status}] {r.module}/{r.name}: {r.checks} checks")
-        for msg in r.failures:
+        for msg in ([r.error] if r.error else []) + r.failures:
             lines.append(f"    {msg}")
         if not r.ok:
             failed += 1

@@ -3,8 +3,9 @@
 A point is an offset n with [] <= n <= L(g) along the interval toward the
 group element g; two points are the same point of the tree iff they carry
 the same offset and it does not exceed the Gromov product of their words.
-Gromov products are handled as doubled integers internally and halved only
-where a value must be certified to lie in the lattice.
+That product c(g, h) is the length vector of the common prefix, so it is
+integral and is compared against offsets as it is; only the metric and the
+far branch of the action double a vector.
 
 ``EdgePoint`` is the one model of a point inside the edge from w to w a^p:
 the tree puts a lattice offset there (the paper's Z^c interval), the Cayley
@@ -33,8 +34,8 @@ from .words import (
     IDENTITY,
     Word,
     common_prefix,
-    double_gromov,
     format_word,
+    gromov,
     inverse,
     length_vector,
     letter_name,
@@ -50,7 +51,7 @@ class TreePoint:
     Canonicalize through the edge-triple form before hashing or indexing.
     """
 
-    __slots__ = ("n", "g", "word_length")
+    __slots__ = ("n", "g")
 
     def __init__(self, n: LexVector, g: Word):
         if not g.reduced:
@@ -60,7 +61,6 @@ class TreePoint:
             raise BigFreeError(f"offset {n} outside [0, {glen}]")
         self.n = n
         self.g = g
-        self.word_length = glen
 
     def __eq__(self, other):
         if not isinstance(other, TreePoint):
@@ -86,14 +86,12 @@ def word_point(g: Word) -> TreePoint:
 
 def point_eq(p: TreePoint, q: TreePoint) -> bool:
     """Same offset, not exceeding the Gromov product of the two words."""
-    if p.n != q.n:
-        return False
-    return p.n.double() <= double_gromov(p.g, q.g)
+    return p.n == q.n and p.n <= gromov(p.g, q.g)
 
 
 def interval_dist(n: LexVector, g: Word, m: LexVector, h: Word) -> LexVector:
     """Distance n + m - 2 min{n, m, c(g, h)} of the points at n on [1, g] and m on [1, h]."""
-    return n + m - min(n.double(), m.double(), double_gromov(g, h))
+    return n + m - min(n, m, gromov(g, h)).double()
 
 
 def tree_dist(p: TreePoint, q: TreePoint) -> LexVector:
@@ -105,11 +103,11 @@ def tree_act(h: Word, p: TreePoint) -> TreePoint:
     """Move p to the point at the same offset along [h, h g]."""
     if not h.reduced:
         raise BigFreeError("acting word must be reduced")
-    two_c = double_gromov(p.g, inverse(h))
+    c = gromov(p.g, inverse(h))
     h_len = length_vector(h)
-    if p.n.double() <= two_c:
+    if p.n <= c:
         return TreePoint(h_len - p.n, h)
-    return TreePoint(h_len + p.n - two_c, multiply(h, p.g))
+    return TreePoint(h_len + p.n - c.double(), multiply(h, p.g))
 
 
 def y_point(v: Word, x: Word, y: Word) -> Word:

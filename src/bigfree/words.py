@@ -23,7 +23,6 @@ from .ordered_abelian import (
     OMEGA,
     ParseError,
     check_index,
-    half_exact,
 )
 
 Letter = Tuple[AlphabetIndex, int]
@@ -162,32 +161,40 @@ def _prefix_len(a: tuple, b: tuple) -> int:
 
 
 def word_dist(w: Word, v: Word) -> LexVector:
-    """Length vector of the reduced form of w^-1 v."""
-    return length_vector(multiply(inverse(w), v))
+    """Length vector of the reduced form of w^-1 v, by a prefix scan.
 
-
-def double_gromov(g: Word, h: Word) -> LexVector:
-    """Twice the Gromov product at the identity, by a prefix scan.
-
-    For reduced words c(g, h) = (L(g) + L(h) - L(g^-1 h)) / 2 is the length
-    vector of the longest common prefix, so this reduces both arguments and
-    counts each letter of that prefix twice, with no product and no
-    inverse.  The definitional formula is kept only as an oracle (the
-    ``words/gromov-equals-prefix`` suite property, and
-    ``check_length_axioms`` for arbitrary length functions).  Kept doubled
-    so no value leaves the integer lattice.
+    For reduced words w^-1 v reduces to the inverse of w's suffix past the
+    common prefix followed by v's suffix, so this counts the letters of both
+    suffixes, with no product and no inverse.  The product route
+    ``L(w^-1 v)`` is kept only as an oracle.
     """
-    g, h = reduce(g), reduce(h)
-    return _count_vector(g.letters[:_prefix_len(g.letters, h.letters)], 2)
+    w, v = reduce(w), reduce(v)
+    k = _prefix_len(w.letters, v.letters)
+    return _count_vector(w.letters[k:] + v.letters[k:], 1)
 
 
 def gromov(g: Word, h: Word) -> LexVector:
-    """Gromov product at the identity, certified integral via half_exact.
+    """Gromov product at the identity, by a prefix scan.
 
-    A HalfError here is an internal invariant violation for this group and
-    is allowed to propagate as a defect.
+    For reduced words c(g, h) = (L(g) + L(h) - L(g^-1 h)) / 2 is the length
+    vector of the longest common prefix, so this reduces both arguments and
+    counts the letters of that prefix: integral by construction, with no
+    product, no inverse and no halving.  The definitional formula is kept
+    only as an oracle (the ``words/gromov-equals-prefix`` suite property,
+    and ``check_length_axioms`` for arbitrary length functions).
     """
-    return half_exact(double_gromov(g, h))
+    g, h = reduce(g), reduce(h)
+    return _count_vector(g.letters[:_prefix_len(g.letters, h.letters)], 1)
+
+
+def double_gromov(g: Word, h: Word) -> LexVector:
+    """2 c(g, h): the same prefix scan counting each letter twice.
+
+    Kept for oracles and benchmarks that compare against the definitional
+    L(g) + L(h) - L(g^-1 h); library code uses ``gromov``.
+    """
+    g, h = reduce(g), reduce(h)
+    return _count_vector(g.letters[:_prefix_len(g.letters, h.letters)], 2)
 
 
 def _require_reduced(w: Word, what: str) -> None:

@@ -93,7 +93,6 @@ def _metric_triple_ok(d, p, q, r) -> bool:
         d(p, q) == d(q, p)
         and d(p, p) == ZERO
         and d(p, q) >= ZERO
-        and ((d(p, q) == ZERO) <= (True if p is q else True))
         and d(p, r) <= d(p, q) + d(q, r)
     )
 

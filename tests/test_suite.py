@@ -1,8 +1,10 @@
-"""The property suite builds failure messages only for checks that fail."""
+"""The property suite builds failure messages only for checks that fail,
+and reports a property that raises instead of ending the run."""
 
 from random import Random
 
-from bigfree import sampling, suite, tree
+from bigfree import cli, sampling, suite, tree
+from bigfree.ordered_abelian import BigFreeError
 from bigfree.ordered_abelian import LexVector, ZERO, half_exact
 from bigfree.words import Word, format_word, inverse, length_vector, multiply
 
@@ -41,3 +43,29 @@ def test_a_failing_property_reports_its_messages(monkeypatch):
     assert result.checks == 200 and len(expected) > suite.MAX_REPORTED_FAILURES
     assert result.failures == (expected[:suite.MAX_REPORTED_FAILURES]
                                + ["... more failures suppressed"])
+
+
+def test_a_raising_property_is_reported_and_the_run_goes_on(monkeypatch, capsys):
+    def domain_error(rec, rng, samples):
+        rec.count(2)
+        raise BigFreeError("offset out of range")
+
+    def internal_error(rec, rng, samples):
+        return 1 // 0
+
+    real = next(e for e in suite.PROPERTIES if e[:2] == ("words", "length-nonnegative"))
+    monkeypatch.setattr(suite, "PROPERTIES", [
+        ("words", "raises-domain", domain_error), ("words", "raises-internal", internal_error), real])
+    assert cli.main(["suite", "--samples", "20"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "[ERROR] words/raises-domain: 2 checks",
+        "    BigFreeError: offset out of range",
+        "[ERROR] words/raises-internal: 0 checks",
+        "    ZeroDivisionError: integer division or modulo by zero",
+    ]
+    assert lines[4].startswith("[PASS] words/length-nonnegative: ")
+    assert lines[5:] == ["total: 3 properties, 2 failed"]
+    assert sum(line.startswith("[ERROR]") for line in lines) == 2
+    assert err == "" and "Traceback" not in out

@@ -185,8 +185,11 @@ def _word_pairs(draw):
 @example((parse_word("a1 a1^-1 b a2", OMEGA_PLUS_ONE), parse_word("b a2^-1 a2 a2", OMEGA_PLUS_ONE)))
 def test_double_gromov_equals_definitional_formula(pair):
     g, h = pair
-    definitional = length_vector(g) + length_vector(h) - length_vector(multiply(inverse(g), h))
+    difference = length_vector(multiply(inverse(g), h))
+    definitional = length_vector(g) + length_vector(h) - difference
     assert double_gromov(g, h) == definitional
+    assert gromov(g, h).double() == definitional
+    assert word_dist(g, h) == difference
 
 
 def test_common_prefix_examples():

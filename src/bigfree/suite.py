@@ -78,12 +78,12 @@ class PropertyResult:
     name: str
     checks: int
     failures: List[str] = field(default_factory=list)
-    error: Optional[str] = None  # "<Type>: <message>" of an exception that ended the property
+    raised: bool = False  # an exception ended the property; its text leads ``failures``
 
     @property
     def ok(self) -> bool:
-        """Passed: ran at least one check, recorded no failure and raised nothing."""
-        return self.checks > 0 and not self.failures and self.error is None
+        """Passed: ran at least one check and recorded no failure."""
+        return self.checks > 0 and not self.failures
 
 
 class _Recorder:
@@ -795,12 +795,13 @@ def run_all(samples: int = 10000, seed: int = 0) -> List[PropertyResult]:
     for module, name, fn in PROPERTIES:
         rng = Random(f"{seed}:{module}:{name}")
         rec = _Recorder()
-        error = None
+        raised = False
         try:
             fn(rec, rng, samples)
         except Exception as exc:  # one raising property must not end the run
-            error = f"{type(exc).__name__}: {exc}"
-        results.append(PropertyResult(module, name, rec.checks, rec.failures, error))
+            rec.failures.insert(0, f"{type(exc).__name__}: {exc}")
+            raised = True
+        results.append(PropertyResult(module, name, rec.checks, rec.failures, raised))
     return results
 
 
@@ -808,9 +809,9 @@ def format_results(results: List[PropertyResult]) -> str:
     lines = []
     failed = 0
     for r in results:
-        status = "PASS" if r.ok else "ERROR" if r.error else "FAIL" if r.failures else "EMPTY"
+        status = "PASS" if r.ok else "ERROR" if r.raised else "FAIL" if r.failures else "EMPTY"
         lines.append(f"[{status}] {r.module}/{r.name}: {r.checks} checks")
-        for msg in ([r.error] if r.error else []) + r.failures:
+        for msg in r.failures:
             lines.append(f"    {msg}")
         if not r.ok:
             failed += 1

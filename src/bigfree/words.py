@@ -188,13 +188,12 @@ def gromov(g: Word, h: Word) -> LexVector:
 
 
 def double_gromov(g: Word, h: Word) -> LexVector:
-    """2 c(g, h): the same prefix scan counting each letter twice.
+    """2 c(g, h): the prefix count of ``gromov``, doubled.
 
     Kept for oracles and benchmarks that compare against the definitional
     L(g) + L(h) - L(g^-1 h); library code uses ``gromov``.
     """
-    g, h = reduce(g), reduce(h)
-    return _count_vector(g.letters[:_prefix_len(g.letters, h.letters)], 2)
+    return gromov(g, h).double()
 
 
 def _require_reduced(w: Word, what: str) -> None:

@@ -69,3 +69,12 @@ def test_a_raising_property_is_reported_and_the_run_goes_on(monkeypatch, capsys)
     assert lines[5:] == ["total: 3 properties, 2 failed"]
     assert sum(line.startswith("[ERROR]") for line in lines) == 2
     assert err == "" and "Traceback" not in out
+
+    # The exception text leads the failures, so a caller that reads only
+    # checks and failures sees a raising property as failed, even one that
+    # counted checks before it raised.
+    domain, internal, passing = suite.run_all(samples=20)
+    assert domain.raised and domain.checks == 2 and not domain.ok
+    assert domain.failures == ["BigFreeError: offset out of range"]
+    assert internal.raised and internal.failures == ["ZeroDivisionError: integer division or modulo by zero"]
+    assert not passing.raised and passing.ok

@@ -173,7 +173,10 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
         raise BigFreeError("ball center must be reduced")
     if max_len < 0 or max_letter < 0:
         raise BigFreeError("ball radius and letter bound must be >= 0")
-    alphabet = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)]
+    if max_len >= 1 and 1 + 2 * max_letter > cap:
+        raise ResourceLimitError(f"ball would exceed {cap} vertices")
+    # radius 0 uses no letter; otherwise the guard above keeps the alphabet below cap
+    alphabet = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
     vertices = [center]
     edges: list = []
     frontier: List[Tuple[Word, Optional[Letter]]] = [(center, None)]

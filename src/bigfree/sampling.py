@@ -1,10 +1,13 @@
 """Seeded sample generators shared by the property suites and the tests.
 
-Stream contract: ``random_word`` and ``random_reduced_word`` draw through
+Stream contract: the samplers make every ``randint``/``choice`` draw through
 ``rng._randbelow`` exactly as CPython's ``randint(a, b)``
 (``a + _randbelow(b - a + 1)``) and ``choice(s)`` (``s[_randbelow(len(s))]``)
 do, so their samples and the generator state after them are those of the
-``randint``/``choice`` formulation; ``tests/test_sampling.py`` pins this.
+``randint``/``choice`` formulation (``rng.random`` and ``rng.sample`` are
+called as such); ``tests/test_sampling.py`` pins this.
+An empty range raises ``ValueError``, as ``randint`` did, where
+``_randbelow(0)`` would loop forever.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .words import Cancellation, Word, _is_reduced, length_vector
 
 
 def _check_ranges(max_len: int, max_index: int) -> None:
-    # randint raised on these; _randbelow(0) would loop forever
     if max_len < 0 or max_index < 1:
         raise ValueError(f"empty range: max_len={max_len}, max_index={max_index}")
 
@@ -89,8 +91,11 @@ def random_cancellation(rng: Random, w: Word) -> Optional[Cancellation]:
 
 def random_offset_inside(rng: Random, index: int, spread: int = 4) -> LexVector:
     """A vector strictly between 0 and the unit at index."""
-    j = index + rng.randint(1, spread)
-    c = rng.randint(1, 5)
+    if spread < 1:
+        raise ValueError(f"empty range: spread={spread}")
+    below = rng._randbelow
+    j = index + 1 + below(spread)
+    c = 1 + below(5)
     if rng.random() < 0.5:
         return LexVector.unit(j, c)
     return LexVector.unit(index) - LexVector.unit(j, c)
@@ -101,7 +106,7 @@ def random_tree_point(rng: Random, max_len: int = 12, max_index: int = 5) -> Tre
     g = random_reduced_word(rng, max_len, max_index)
     if not g.letters:
         return TreePoint(ZERO, g)
-    cut = rng.randint(0, len(g.letters))
+    cut = rng._randbelow(len(g.letters) + 1)
     base = length_vector(Word._make(g.letters[:cut], True))
     if cut == len(g.letters) or rng.random() < 0.3:
         return TreePoint(base, g)
@@ -110,9 +115,10 @@ def random_tree_point(rng: Random, max_len: int = 12, max_index: int = 5) -> Tre
 
 def _edge_letter(rng: Random, w: Word, max_index: int) -> Tuple[int, int]:
     """A signed letter that may follow the reduced word w (sign drawn first)."""
-    sign = rng.choice((1, -1))
+    below = rng._randbelow
+    sign = (1, -1)[below(2)]
     while True:
-        index = rng.randint(1, max_index)
+        index = 1 + below(max_index)
         if not w.letters or w.letters[-1] != (index, -sign):
             return index, sign
 
@@ -128,13 +134,16 @@ def random_cayley_point(rng: Random, max_len: int = 10, max_index: int = 5) -> G
     if rng.random() < 0.25:
         return w
     index, sign = _edge_letter(rng, w, max_index)
-    den = rng.randint(2, 12)
-    return cayley_point(w, index, sign, Fraction(rng.randint(1, den - 1), den))
+    den = 2 + rng._randbelow(11)
+    return cayley_point(w, index, sign, Fraction(1 + rng._randbelow(den - 1), den))
 
 
 def random_small_vector(rng: Random, max_index: int = 4, bound: int = 2) -> LexVector:
-    support = rng.sample(range(1, max_index + 1), rng.randint(0, min(3, max_index)))
-    return LexVector((i, rng.randint(-bound, bound)) for i in support)
+    if max_index < 0 or bound < 0:
+        raise ValueError(f"empty range: max_index={max_index}, bound={bound}")
+    below = rng._randbelow
+    support = rng.sample(range(1, max_index + 1), below(min(3, max_index) + 1))
+    return LexVector((i, below(2 * bound + 1) - bound) for i in support)
 
 
 def enumerate_reduced_words(max_len: int, max_index: int) -> List[Word]:

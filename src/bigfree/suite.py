@@ -1,7 +1,10 @@
 """Seeded property suites for every module, runnable without pytest.
 
-Each property draws its own deterministic generator from the global seed,
-runs a batch of checks, and reports a count plus the first few failures.
+Each property runs a batch of checks on the generator it is given and
+reports a count plus the first few failures.  ``run_property`` runs one
+registry entry on a caller's generator; ``run_all`` gives each entry its
+own generator seeded from the global seed, and the acceptance tests run
+entries through ``run_property`` under their own seeds.
 Failure messages that format values are passed as zero-argument callables
 and built only when a check fails, so passing checks format no words or
 vectors.
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -687,19 +690,37 @@ def _eps_family(a: int) -> List[LexVector]:
     return [unit, unit.scale(3), unit - LexVector.unit(a + 2, 5), unit + LexVector.unit(a + 1, -1)]
 
 
-def _check_letter_ball_inclusion(rec: _Recorder, rng: Random, samples: int) -> None:
-    units = {a: LexVector.unit(a) for a in (1, 2, 3, 4)}
-    words = sampling.enumerate_reduced_words(2, 4)
+def ball_inclusion_sweep(rec: _Recorder, words: Sequence[Word], thresholds: Sequence[int],
+                         families: Dict[int, Sequence[LexVector]]) -> None:
+    """Both ball inclusions over every ordered pair of ``words``.
+
+    For each ``a`` in ``thresholds`` the metric ball of radius e_a sits inside
+    the letter ball at ``a``; for each ``a`` keyed in ``families`` the letter
+    ball at ``a + 1`` sits inside the metric ball of every radius listed.
+    """
+    units = {a: LexVector.unit(a) for a in thresholds}
     for w in words:
         for v in words:
             u = difference_word(w, v)
             ulen = length_vector(u)
-            for a in (1, 2, 3):
+            for a in thresholds:
                 if ulen < units[a]:
                     rec.expect(uses_only_letters_above(u, a),
                                lambda: f"metric ball at index {a} leaks outside the letter ball")
                 else:
                     rec.count()
+            for a, family in families.items():
+                if uses_only_letters_above(u, a + 1):
+                    for eps in family:
+                        rec.expect(ulen < eps,
+                                   lambda: f"letter ball at successor of {a} leaks outside eps = {eps}")
+                else:
+                    rec.count(len(family))
+
+
+def _check_letter_ball_inclusion(rec: _Recorder, rng: Random, samples: int) -> None:
+    units = {a: LexVector.unit(a) for a in (1, 2, 3, 4)}
+    ball_inclusion_sweep(rec, sampling.enumerate_reduced_words(2, 4), (1, 2, 3), {})
     for _ in range(samples):
         w = sampling.random_reduced_word(rng, 12, 6)
         v = sampling.random_reduced_word(rng, 12, 6)
@@ -712,19 +733,8 @@ def _check_letter_ball_inclusion(rec: _Recorder, rng: Random, samples: int) -> N
 
 def _check_metric_ball_inclusion(rec: _Recorder, rng: Random, samples: int) -> None:
     families = {a: _eps_family(a) for a in (1, 2, 3, 4)}
-    words = sampling.enumerate_reduced_words(2, 4)
-    for w in words:
-        for v in words:
-            u = difference_word(w, v)
-            ulen = length_vector(u)
-            for a in (1, 2, 3):
-                inside = uses_only_letters_above(u, a + 1)
-                for eps in families[a]:
-                    if inside:
-                        rec.expect(ulen < eps,
-                                   lambda: f"letter ball at successor of {a} leaks outside eps = {eps}")
-                    else:
-                        rec.count()
+    ball_inclusion_sweep(rec, sampling.enumerate_reduced_words(2, 4), (),
+                         {a: families[a] for a in (1, 2, 3)})
     for _ in range(samples):
         w = sampling.random_reduced_word(rng, 12, 6)
         v = sampling.random_reduced_word(rng, 12, 6)
@@ -748,7 +758,9 @@ def _check_stream_convergence(rec: _Recorder, rng: Random, samples: int) -> None
 
 # -- registry -----------------------------------------------------------------------
 
-PROPERTIES: List[Tuple[str, str, Callable[[_Recorder, Random, int], None]]] = [
+Entry = Tuple[str, str, Callable[[_Recorder, Random, int], None]]
+
+PROPERTIES: List[Entry] = [
     ("ordered_abelian", "order-vs-reference", _check_order_reference),
     ("ordered_abelian", "order-transitivity", _check_order_transitivity),
     ("ordered_abelian", "translation-invariance", _check_translation_invariance),
@@ -790,19 +802,22 @@ PROPERTIES: List[Tuple[str, str, Callable[[_Recorder, Random, int], None]]] = [
 ]
 
 
+def run_property(entry: Entry, rng: Random, samples: int) -> PropertyResult:
+    """Run one registry entry on the caller's generator, which it does not re-seed."""
+    module, name, fn = entry
+    rec = _Recorder()
+    raised = False
+    try:
+        fn(rec, rng, samples)
+    except Exception as exc:  # one raising property must not end the run
+        rec.failures.insert(0, f"{type(exc).__name__}: {exc}")
+        raised = True
+    return PropertyResult(module, name, rec.checks, rec.failures, raised)
+
+
 def run_all(samples: int = 10000, seed: int = 0) -> List[PropertyResult]:
-    results = []
-    for module, name, fn in PROPERTIES:
-        rng = Random(f"{seed}:{module}:{name}")
-        rec = _Recorder()
-        raised = False
-        try:
-            fn(rec, rng, samples)
-        except Exception as exc:  # one raising property must not end the run
-            rec.failures.insert(0, f"{type(exc).__name__}: {exc}")
-            raised = True
-        results.append(PropertyResult(module, name, rec.checks, rec.failures, raised))
-    return results
+    return [run_property(entry, Random(f"{seed}:{entry[0]}:{entry[1]}"), samples)
+            for entry in PROPERTIES]
 
 
 def format_results(results: List[PropertyResult]) -> str:

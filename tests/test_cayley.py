@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -192,6 +193,21 @@ def test_ball_matches_enumeration_oracle():
 def test_ball_cap_guard():
     with pytest.raises(ResourceLimitError):
         ball_graph(IDENTITY, 5, 5, cap=100)
+    assert len(ball_graph(IDENTITY, 1, 2, cap=5).vertices) == 5
+    with pytest.raises(ResourceLimitError, match="ball would exceed 6 vertices"):
+        ball_graph(IDENTITY, 1, 3, cap=6)
+
+
+def test_ball_cap_fires_before_the_alphabet_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="ball would exceed 10 vertices"):
+            ball_graph(IDENTITY, 1, 10**6, cap=10)
+        assert ball_graph(IDENTITY, 0, 10**6, cap=10).vertices == (IDENTITY,)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak {peak} bytes"
 
 
 def test_ball_dot_output_is_deterministic_and_well_formed():

@@ -1,7 +1,10 @@
 """The property suite builds failure messages only for checks that fail,
-and reports a property that raises instead of ending the run."""
+reports a property that raises instead of ending the run, and runs one
+registry entry on a caller's generator."""
 
 from random import Random
+
+import pytest
 
 from bigfree import cli, sampling, suite, tree
 from bigfree.ordered_abelian import BigFreeError
@@ -78,3 +81,49 @@ def test_a_raising_property_is_reported_and_the_run_goes_on(monkeypatch, capsys)
     assert domain.failures == ["BigFreeError: offset out of range"]
     assert internal.raised and internal.failures == ["ZeroDivisionError: integer division or modulo by zero"]
     assert not passing.raised and passing.ok
+
+
+def test_run_property_reports_raising_and_vacuous_properties_as_run_all_does(monkeypatch):
+    def raises(rec, rng, samples):
+        rec.count()
+        raise BigFreeError("offset out of range")
+
+    def vacuous(rec, rng, samples):
+        pass
+
+    entries = [("words", "raises", raises), ("words", "vacuous", vacuous)]
+    monkeypatch.setattr(suite, "PROPERTIES", entries)
+    direct = [suite.run_property(e, Random(f"0:{e[0]}:{e[1]}"), 20) for e in entries]
+    assert direct == suite.run_all(samples=20)
+    raised, empty = direct
+    assert raised.raised and raised.failures == ["BigFreeError: offset out of range"]
+    assert not raised.ok
+    assert (empty.checks, empty.failures, empty.raised, empty.ok) == (0, [], False, False)
+
+
+def test_run_property_draws_from_the_callers_generator():
+    seen = []
+
+    def draw(rec, rng, samples):
+        seen.append([rng.random() for _ in range(samples)])
+        rec.count()
+
+    shared = Random("caller")
+    for rng in (shared, shared, Random("caller")):
+        assert suite.run_property(("words", "draw", draw), rng, 5).ok
+    first, second, fresh = seen
+    assert second != fresh and first == fresh
+
+
+def test_the_acceptance_helper_shows_the_first_failure_message():
+    from test_acceptance import run_checks
+
+    def failing(rec, rng, samples):
+        rec.expect(True, "a passing check")
+        rec.expect(False, "first failure at sample 1")
+        rec.expect(False, "second failure")
+
+    with pytest.raises(AssertionError, match="first failure at sample 1"):
+        run_checks(Random(0), 10, failing)
+    with pytest.raises(AssertionError, match="words/zero-hyperbolicity-random: 0 checks"):
+        run_checks(Random(0), 0, "words/zero-hyperbolicity-random")

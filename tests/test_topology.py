@@ -7,7 +7,7 @@ import pytest
 from bigfree.ordered_abelian import BigFreeError, LexVector, TOP, ZERO
 from bigfree.sampling import enumerate_reduced_words, random_reduced_word
 from bigfree.topology import difference_word, in_letter_ball, in_metric_ball, uses_only_letters_above
-from bigfree.words import harmonic_stream, parse_word, truncate
+from bigfree.words import harmonic_stream, length_vector, parse_word, truncate, word_dist
 
 
 def W(text):
@@ -42,6 +42,11 @@ def test_metric_ball_needs_positive_radius():
 def test_balls_require_reduced_words():
     with pytest.raises(BigFreeError):
         in_letter_ball(W("a1 a1^-1"), 2, W("a2"))
+    # the word check comes before the threshold check, which runs even for v = w
+    with pytest.raises(BigFreeError, match="defined for reduced words"):
+        in_letter_ball(W("a1 a1^-1"), 0, W("a2"))
+    with pytest.raises(BigFreeError, match="invalid alphabet index 0"):
+        in_letter_ball(W("a1"), 0, W("a1"))
 
 
 def test_top_threshold_admits_only_the_center():
@@ -76,10 +81,15 @@ def test_successor_letter_ball_sits_inside_every_matching_metric_ball():
 
 
 def test_difference_word_drives_both_predicates():
-    w, v = W("a1 a3"), W("a1 a5 a4^-1")
-    u = difference_word(w, v)
-    assert u == W("a3^-1 a5 a4^-1")
-    assert in_letter_ball(w, 2, v) == uses_only_letters_above(u, 2)
+    assert difference_word(W("a1 a3"), W("a1 a5 a4^-1")) == W("a3^-1 a5 a4^-1")
+    # the prefix-scan predicates agree with the product route on every small pair
+    words = enumerate_reduced_words(2, 4)
+    for w in words:
+        for v in words:
+            u = difference_word(w, v)
+            assert word_dist(w, v) == length_vector(u)
+            for a in (1, 2, 3, TOP):
+                assert in_letter_ball(w, a, v) == uses_only_letters_above(u, a), (w, v, a)
 
 
 def test_harmonic_truncations_converge_in_letter_balls():

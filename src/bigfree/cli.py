@@ -8,9 +8,11 @@ serves them all.  The rest name their own handler, because their output is
 not one formatted value or they parse their arguments out of order.
 
 Exit codes: 0 success, 1 domain error (bad values, non-canonical input),
-2 usage error.  Every query subcommand takes ``--json`` for machine-readable
-output and ``--alphabet omega|omega+1`` to select the index-set instance;
-all values are printed in the exact text grammars of the library.
+2 usage error, 3 internal error (an exception that is not a domain error,
+reported as one line without a traceback).  Every query subcommand takes
+``--json`` for machine-readable output and ``--alphabet omega|omega+1`` to
+select the index-set instance; all values are printed in the exact text
+grammars of the library.
 """
 
 from __future__ import annotations
@@ -362,6 +364,9 @@ def main(argv=None) -> int:
     except BigFreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a defect, not bad input: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -156,8 +156,14 @@ def _downcast(matrix: np.ndarray) -> np.ndarray:
 
 
 def exhaustive_two_smallest_violations(two_c: np.ndarray, block: int = 8) -> int:
-    """Ordered triples where the two smallest pairwise products differ."""
-    two_c = _downcast(two_c)
+    """Ordered triples where the two smallest pairwise products differ.
+
+    That is, the least of x, y, z is unique: z < min(x, y), or
+    min(x, y) < z with x != y.  Only the order of the keys matters, so
+    fewer than 256 distinct keys are replaced by their ranks as uint8.
+    """
+    keys, ranks = np.unique(two_c, return_inverse=True)
+    two_c = ranks.reshape(two_c.shape).astype(np.uint8) if len(keys) < 256 else _downcast(two_c)
     n = two_c.shape[0]
     violations = 0
     for start in range(0, n, block):
@@ -165,9 +171,8 @@ def exhaustive_two_smallest_violations(two_c: np.ndarray, block: int = 8) -> int
         x = two_c[start:stop, :, None]   # (b, j) against k
         y = two_c[start:stop, None, :]   # (b, k) against j
         z = two_c[None, :, :]            # (j, k)
-        lo = np.minimum(np.minimum(x, y), z)
-        hits = (x == lo).astype(np.int8) + (y == lo) + (z == lo)
-        violations += int(np.count_nonzero(hits < 2))
+        lo = np.minimum(x, y)
+        violations += int(np.count_nonzero(z < lo)) + int(np.count_nonzero((lo < z) & (x != y)))
     return violations
 
 

@@ -4,12 +4,16 @@ A point is an offset n with [] <= n <= L(g) along the interval toward the
 group element g; two points are the same point of the tree iff they carry
 the same offset and it does not exceed the Gromov product of their words.
 That product c(g, h) is the length vector of the common prefix, so it is
-integral and is compared against offsets as it is; only the metric and the
-far branch of the action double a vector.
+integral and is compared against offsets as it is; a vector is doubled only
+where c itself is subtracted twice: in ``interval_dist`` when c is the least
+of the two offsets and c, and in the far branch of the action.  The action
+reads c off the letters of g that cancel against h, the one scan of the
+junction that ``multiply`` makes.
 
 ``EdgePoint`` is the one model of a point inside the edge from w to w a^p:
 the tree puts a lattice offset there (the paper's Z^c interval), the Cayley
 graph a rational one (its R interval); action, text form and distance are shared.
+The distance counts only the letters past the branch point of the two far words.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from .ordered_abelian import (
 from .words import (
     IDENTITY,
     Word,
+    _cancel_len,
+    _count_vector,
+    _prefix_len,
     common_prefix,
     format_word,
     gromov,
@@ -42,6 +49,7 @@ from .words import (
     multiply,
     parse_letter_token,
     parse_word,
+    reduce,
 )
 
 
@@ -90,8 +98,17 @@ def point_eq(p: TreePoint, q: TreePoint) -> bool:
 
 
 def interval_dist(n: LexVector, g: Word, m: LexVector, h: Word) -> LexVector:
-    """Distance n + m - 2 min{n, m, c(g, h)} of the points at n on [1, g] and m on [1, h]."""
-    return n + m - min(n, m, gromov(g, h)).double()
+    """Distance n + m - 2 min{n, m, c(g, h)} of the points at n on [1, g] and m on [1, h].
+
+    When n or m is the minimum the two points lie on one geodesic from the
+    identity and the distance is the difference of their offsets.
+    """
+    c = gromov(g, h)
+    if n <= m and n <= c:
+        return m - n
+    if m <= n and m <= c:
+        return n - m
+    return n + m - c.double()
 
 
 def tree_dist(p: TreePoint, q: TreePoint) -> LexVector:
@@ -103,11 +120,14 @@ def tree_act(h: Word, p: TreePoint) -> TreePoint:
     """Move p to the point at the same offset along [h, h g]."""
     if not h.reduced:
         raise BigFreeError("acting word must be reduced")
-    c = gromov(p.g, inverse(h))
+    # c(g, h^-1) is the letter count of the k letters of g that cancel against h
+    k = _cancel_len(h.letters, p.g.letters)
+    c = _count_vector(p.g.letters[:k], 1)
     h_len = length_vector(h)
     if p.n <= c:
         return TreePoint(h_len - p.n, h)
-    return TreePoint(h_len + p.n - c.double(), multiply(h, p.g))
+    far = Word._make(h.letters[:len(h) - k] + p.g.letters[k:], True)  # the product h g
+    return TreePoint(h_len + p.n - c.double(), far)
 
 
 def y_point(v: Word, x: Word, y: Word) -> Word:
@@ -197,9 +217,44 @@ def direction_word(x) -> Word:
     return x if isinstance(x, Word) else x.far_word()
 
 
+def _base_far_offset(x) -> Tuple[tuple, tuple, Optional[LexVector]]:
+    """Letters of the base and far words of x, and its offset past the base (None for a word)."""
+    if isinstance(x, Word):
+        far = reduce(x).letters
+        return far, far, None
+    return x.w.letters, x.w.letters + ((x.index, x.sign),), x._vector(x.index, x.t)
+
+
+def _back(x) -> LexVector:
+    """How far x sits before the end of its far word: span - t as a length vector, zero for a word."""
+    return ZERO if isinstance(x, Word) else x._vector(x.index, x._span(x.index) - x.t)
+
+
 def edge_point_dist(x, y) -> LexVector:
-    """Exact distance between words or edge points of one model."""
-    return interval_dist(position(x), direction_word(x), position(y), direction_word(y))
+    """Exact distance between words or edge points of one model, past the branch point.
+
+    A point sits at L(far) - back on the geodesic from the identity to its
+    far word.  One scan finds the k letters the two far words share.  A
+    point whose far word goes on past them lies beyond the branch point, by
+    its base word's letters past k plus its offset; otherwise its far word
+    ends at the branch point and it sits ``back`` before it.  No L(w) and
+    no prefix is counted.  ``interval_dist`` on ``position`` and
+    ``direction_word`` is the oracle.
+    """
+    wx, fx, ox = _base_far_offset(x)
+    wy, fy, oy = _base_far_offset(y)
+    k = _prefix_len(fx, fy)
+    if k < len(fx) and k < len(fy):  # both past the branch point
+        d = _count_vector(wx[k:] + wy[k:], 1)
+        for offset in (ox, oy):
+            if offset is not None:
+                d = d + offset
+        return d
+    if k < len(fy):  # fx is a proper prefix of fy
+        return _count_vector(fy[k:], 1) - _back(y) + _back(x)
+    if k < len(fx):
+        return _count_vector(fx[k:], 1) - _back(x) + _back(y)
+    return abs(_back(x) - _back(y))  # same far word
 
 
 def act_edge_point(u: Word, x):

@@ -97,27 +97,41 @@ class Word:
 IDENTITY = Word._make((), True)
 
 
-def _push(stack: list, letters: Iterable[Letter]) -> list:
-    """Append letters to a reduced stack, cancelling each adjacent inverse pair."""
-    for idx, sign in letters:
-        if stack and stack[-1] == (idx, -sign):
-            stack.pop()
-        else:
-            stack.append((idx, sign))
-    return stack
-
-
 def reduce(w: Word) -> Word:
     """The unique reduced representative (single stack pass, idempotent)."""
     if w.reduced:
         return w
-    return Word._make(tuple(_push([], w.letters)), True)
+    stack: list = []
+    for idx, sign in w.letters:
+        if stack and stack[-1] == (idx, -sign):
+            stack.pop()
+        else:
+            stack.append((idx, sign))
+    return Word._make(tuple(stack), True)
+
+
+def _cancel_len(a: tuple, b: tuple) -> int:
+    """Number of letters at the end of ``a`` that cancel against the start of ``b``."""
+    k = 0
+    for x, (idx, sign) in zip(reversed(a), b):
+        if x != (idx, -sign):
+            break
+        k += 1
+    return k
 
 
 def multiply(w: Word, v: Word) -> Word:
-    """Reduced form of the concatenation."""
-    stack = list(w.letters) if w.reduced else _push([], w.letters)
-    return Word._make(tuple(_push(stack, v.letters)), True)
+    """Reduced form of the concatenation, by a scan of the junction only.
+
+    Both factors are reduced first, so only the last letters of w can cancel
+    against the first letters of v; the product drops those k letters from
+    each side and joins the rest.
+    """
+    a, b = reduce(w).letters, reduce(v).letters
+    if not a or not b or a[-1] != (b[0][0], -b[0][1]):
+        return Word._make(a + b, True)  # nothing cancels: the common case for one-letter factors
+    k = _cancel_len(a, b)
+    return Word._make(a[:len(a) - k] + b[k:], True)
 
 
 def inverse(w: Word) -> Word:

@@ -6,10 +6,16 @@ through ``suite.run_property`` on one generator seeded by its own label
 failure), showing the recorder's messages otherwise.  It keeps a loop of its
 own only where the registry draws narrower inputs or has no such law.
 
+Criterion 12 runs the default ``bigfree suite`` and compares its standard
+output byte for byte with ``tests/golden/suite_default.txt``.  Regenerate
+that file (``python -m bigfree suite > tests/golden/suite_default.txt``)
+only for a change meant to alter the suite's output, and say so.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail line
 per criterion (criterion 11 additionally prints its comparison report).
 """
 
+import os
 import subprocess
 import sys
 import time
@@ -28,6 +34,7 @@ from bigfree.triples import CirclePoint, EdgeTriple, circle_dist, triple_dist_re
 from bigfree.words import IDENTITY, format_word, multiply, parse_word
 
 SAMPLES = 10_000
+SUITE_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "suite_default.txt")
 REGISTRY = {f"{module}/{name}": (module, name, fn) for module, name, fn in suite.PROPERTIES}
 
 
@@ -216,10 +223,12 @@ def test_criterion_11_documented_discrepancy_report():
 
 def test_criterion_12_full_suite_under_60s():
     start = time.time()
-    proc = subprocess.run([sys.executable, "-m", "bigfree", "suite"],
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-m", "bigfree", "suite"], capture_output=True, timeout=120)
     elapsed = time.time() - start
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert " 0 failed" in proc.stdout
+    assert proc.returncode == 0, (proc.stdout + proc.stderr).decode()
+    assert b" 0 failed" in proc.stdout
+    with open(SUITE_GOLDEN, "rb") as golden:
+        assert proc.stdout == golden.read(), "default suite output differs from tests/golden/suite_default.txt"
     assert elapsed < 60.0, f"suite took {elapsed:.1f} s"
-    report(12, f"full property suite (default samples) green in {elapsed:.1f} s")
+    report(12, f"full property suite (default samples) green in {elapsed:.1f} s, "
+               "output byte-identical to its golden file")

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from bigfree import cli
 from bigfree.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -214,6 +215,17 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reduce"])  # missing argument
     assert exc.value.code == 2
+
+
+def test_internal_errors_exit_three_with_one_line(capsys, monkeypatch):
+    def boom(args):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        cmd._replace(run=boom) if cmd.name == "reduce" else cmd for cmd in cli.COMMANDS))
+    code, out, err = run(capsys, "reduce", "a1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: ZeroDivisionError: integer division or modulo by zero\n"
 
 
 def test_suite_smoke(capsys):

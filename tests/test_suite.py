@@ -4,6 +4,7 @@ registry entry on a caller's generator."""
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from bigfree import cli, sampling, suite, tree
@@ -127,3 +128,30 @@ def test_the_acceptance_helper_shows_the_first_failure_message():
         run_checks(Random(0), 10, failing)
     with pytest.raises(AssertionError, match="words/zero-hyperbolicity-random: 0 checks"):
         run_checks(Random(0), 0, "words/zero-hyperbolicity-random")
+
+
+def _two_smallest_violations_by_masks(two_c: np.ndarray) -> int:
+    """Ordered triples whose least key is unique, by three equality masks."""
+    x, y, z = two_c[:, :, None], two_c[:, None, :], two_c[None, :, :]
+    lo = np.minimum(np.minimum(x, y), z)
+    hits = (x == lo).astype(np.int8) + (y == lo) + (z == lo)
+    return int(np.count_nonzero(hits < 2))
+
+
+def _symmetric(keys: np.ndarray) -> np.ndarray:
+    return np.triu(keys) + np.triu(keys, 1).T
+
+
+def test_two_smallest_violations_match_the_three_mask_count():
+    rng = np.random.default_rng(7)
+    _, word_keys = suite.pair_tables(sampling.enumerate_reduced_words(3, 3), 3)
+    tables = [word_keys, _symmetric(rng.integers(0, 4, (40, 40))),
+              _symmetric(rng.integers(0, 10**6, (40, 40)))]  # more than 255 distinct keys
+    for _ in range(3):
+        broken = word_keys.copy()
+        for i, j in rng.integers(0, len(broken), (3, 2)):
+            broken[i, j] = broken[j, i] = broken[i, j] + int(rng.integers(1, 3))
+        tables.append(broken)
+    counts = [suite.exhaustive_two_smallest_violations(t) for t in tables]
+    assert counts == [_two_smallest_violations_by_masks(t) for t in tables]
+    assert counts[0] == 0 and all(counts[1:])

@@ -16,9 +16,13 @@ from bigfree.tree import (
     TreePoint,
     bf_length_oracle,
     check_length_axioms,
+    direction_word,
+    edge_point_dist,
     format_tree_point,
+    interval_dist,
     parse_tree_point,
     point_eq,
+    position,
     tree_act,
     tree_dist,
     word_point,
@@ -28,10 +32,12 @@ from bigfree.triples import EdgeTriple, format_triple, parse_triple
 from bigfree.words import (
     IDENTITY,
     Word,
+    gromov,
     inverse,
     length_vector,
     multiply,
     parse_word,
+    reduce,
     subwords,
     word_dist,
 )
@@ -301,39 +307,60 @@ def test_tree_point_text_roundtrip():
 _EDGE_LETTERS = [(idx, sign) for idx in (1, 2, 3, TOP) for sign in (1, -1)]
 
 
-@st.composite
-def _edge_bases(draw):
-    """A reduced word over a1..a3 and b plus an edge letter that may follow it."""
-    letters = []
-    for lt in draw(st.lists(st.sampled_from(_EDGE_LETTERS), max_size=12)):
-        if letters and lt == (letters[-1][0], -letters[-1][1]):
-            lt = letters[-1]  # repeat instead of cancelling, so the word stays reduced
-        letters.append(lt)
+def _extend(draw, letters: tuple, max_size: int) -> tuple:
+    """letters followed by up to max_size drawn letters over a1..a3 and b, kept reduced."""
+    out = list(letters)
+    for lt in draw(st.lists(st.sampled_from(_EDGE_LETTERS), max_size=max_size)):
+        if out and lt == (out[-1][0], -out[-1][1]):
+            lt = out[-1]  # repeat instead of cancelling, so the word stays reduced
+        out.append(lt)
+    return tuple(out)
+
+
+def _edge_letter(draw, letters: tuple):
+    """An edge letter that may follow the reduced letters."""
     idx, sign = draw(st.sampled_from(_EDGE_LETTERS))
     if letters and letters[-1] == (idx, -sign):
         sign = -sign
-    return Word._make(tuple(letters), True), idx, sign
+    return idx, sign
+
+
+@st.composite
+def _edge_bases(draw):
+    """A reduced word over a1..a3 and b plus an edge letter that may follow it."""
+    letters = _extend(draw, (), 12)
+    return (Word._make(letters, True), *_edge_letter(draw, letters))
 
 
 _COORD = st.fractions(-3, 3, max_denominator=4)
+
+
+def _lattice_offset(draw, idx):
+    """A tree edge offset [] < t < L(a_idx), with Fraction and TOP coordinates."""
+    lower = [] if idx is TOP else [(idx + 1, draw(_COORD)), (idx + 3, draw(_COORD)), (TOP, draw(_COORD))]
+    t = LexVector([(idx, draw(st.fractions(0, 1, max_denominator=5)))] + lower)
+    assume(ZERO < t < LexVector.unit(idx))
+    return t
+
+
+def _unit_offset(draw, idx):
+    """A graph edge offset 0 < t < 1."""
+    t = draw(st.fractions(0, 1, max_denominator=50))
+    assume(0 < t < 1)
+    return t
 
 
 @st.composite
 def edge_triples(draw):
     """Edge triples with Fraction offsets, TOP coordinates and TOP edge letters."""
     w, idx, sign = draw(_edge_bases())
-    lower = [] if idx is TOP else [(idx + 1, draw(_COORD)), (idx + 3, draw(_COORD)), (TOP, draw(_COORD))]
-    t = LexVector([(idx, draw(st.fractions(0, 1, max_denominator=5)))] + lower)
-    assume(ZERO < t < LexVector.unit(idx))
-    return EdgeTriple(w, idx, sign, t)
+    return EdgeTriple(w, idx, sign, _lattice_offset(draw, idx))
 
 
 @st.composite
 def cayley_points(draw):
     w, idx, sign = draw(_edge_bases())
-    t = draw(st.fractions(0, 1, max_denominator=50))
-    assume(0 < t < 1)
-    return CayleyPoint(w, idx, sign, t)
+    return CayleyPoint(w, idx, sign, _unit_offset(draw, idx))
 
 
 @given(edge_triples())
@@ -354,3 +381,99 @@ def test_edge_triples_and_cayley_points_never_compare_equal():
     assert (e.w, e.index, e.sign, e.t) == (x.w, x.index, x.sign, x.t)
     assert e != x and x != e
     assert len({e, x}) == 2
+
+
+# -- suffix-only routes against their definitional oracles -----------------------------
+
+@st.composite
+def _point_pairs(draw, model, offset):
+    """Two points of one model on a shared trunk of up to 60 letters.
+
+    Each point keeps a prefix of the trunk and goes on for a few letters:
+    as an edge point, or as a bare word that is sometimes passed unreduced.
+    So the pairs cover both points past the branch point, one far word a
+    prefix of the other, and one far word for both.
+    """
+    trunk = _extend(draw, (), 60)
+    points = []
+    for _ in range(2):
+        letters = _extend(draw, trunk[:draw(st.integers(0, len(trunk)))], 3)
+        if draw(st.booleans()):
+            idx, sign = _edge_letter(draw, letters)
+            points.append(model(Word._make(letters, True), idx, sign, offset(draw, idx)))
+            continue
+        i = draw(st.integers(0, len(letters)))
+        lt = draw(st.sampled_from(_EDGE_LETTERS))
+        unreduced = letters[:i] + (lt, (lt[0], -lt[1])) + letters[i:]
+        points.append(Word(unreduced) if draw(st.booleans()) else Word._make(letters, True))
+    return tuple(points)
+
+
+def _assert_edge_point_dist_is_interval_dist(x, y):
+    px, dx, py, dy = position(x), direction_word(x), position(y), direction_word(y)
+    expected = interval_dist(px, dx, py, dy)
+    assert expected == px + py - min(px, py, gromov(dx, dy)).double()
+    assert edge_point_dist(x, y) == expected
+    assert edge_point_dist(y, x) == expected
+
+
+_A2 = Word._make(((2, 1),), True)
+_A2B = Word._make(((2, 1), (TOP, 1)), True)
+
+
+@given(_point_pairs(EdgeTriple, _lattice_offset))
+@example((EdgeTriple(_A2, 1, 1, LexVector.unit(2)), EdgeTriple(_A2, 1, 1, LexVector.unit(3))))  # same edge
+@example((EdgeTriple(_A2, 1, 1, LexVector.unit(2)), EdgeTriple(_A2, 1, -1, LexVector.unit(3))))  # opposite sign
+@example((EdgeTriple(_A2, 1, 1, LexVector.unit(2)), EdgeTriple(W("a2 a1 a3"), 3, 1, LexVector.unit(4))))  # prefix
+@example((EdgeTriple(_A2, TOP, 1, LexVector.unit(TOP, Fraction(1, 2))), _A2B))  # same far word
+@example((EdgeTriple(_A2, TOP, 1, LexVector.unit(TOP, Fraction(1, 2))),  # TOP edge, far word a prefix
+          EdgeTriple(_A2B, 1, 1, LexVector.unit(TOP))))
+@example((EdgeTriple(_A2B, 3, -1, LexVector.unit(TOP, Fraction(1, 3))),  # unreduced word on the way
+          Word(_A2B.letters + ((1, 1), (1, -1)))))
+@example((W("a2 a1"), EdgeTriple(W("a2 a1 a3"), 1, 1, LexVector.unit(2))))  # bare word on the way
+@example((Word(((1, 1), (2, 1), (2, -1))), W("a1 a3")))  # unreduced bare words
+def test_triple_dist_equals_interval_dist_of_positions(pair):
+    _assert_edge_point_dist_is_interval_dist(*pair)
+
+
+@given(_point_pairs(CayleyPoint, _unit_offset))
+@example((CayleyPoint(_A2, 1, 1, Fraction(1, 3)), CayleyPoint(_A2, 1, 1, Fraction(3, 4))))  # same edge
+@example((CayleyPoint(_A2, 1, 1, Fraction(1, 3)), CayleyPoint(_A2, 1, -1, Fraction(1, 3))))  # opposite sign
+@example((CayleyPoint(_A2, 1, -1, Fraction(1, 2)), CayleyPoint(W("a2 a1^-1 a3"), 2, 1, Fraction(1, 5))))  # prefix
+@example((CayleyPoint(_A2, TOP, 1, Fraction(2, 3)), CayleyPoint(_A2B, 3, 1, Fraction(1, 7))))  # TOP edge
+@example((CayleyPoint(_A2, TOP, 1, Fraction(2, 3)), _A2B))  # same far word
+@example((Word(((3, -1), (3, 1))), CayleyPoint(IDENTITY, 3, 1, Fraction(1, 2))))  # unreduced identity
+def test_cayley_dist_equals_interval_dist_of_positions(pair):
+    _assert_edge_point_dist_is_interval_dist(*pair)
+
+
+def _tree_act_by_gromov(h, p):
+    """The action through the Gromov product with h^-1 and a full product."""
+    c = gromov(p.g, inverse(h))
+    h_len = length_vector(h)
+    if p.n <= c:
+        return TreePoint(h_len - p.n, h)
+    return TreePoint(h_len + p.n - c.double(), multiply(h, p.g))
+
+
+@st.composite
+def _actions(draw):
+    """A word h that cancels part of a tree point's word g (up to 60 letters), and the point."""
+    g = _extend(draw, (), 60)
+    cut = draw(st.integers(0, len(g)))
+    inverse_prefix = tuple((idx, -sign) for idx, sign in reversed(g[:cut]))
+    h = reduce(Word(_extend(draw, (), 8) + inverse_prefix))
+    i = draw(st.integers(0, len(g)))
+    n = length_vector(Word._make(g[:i], True))
+    if i and draw(st.booleans()):
+        n = n - LexVector.unit(TOP)  # just short of the i-th letter
+    return h, TreePoint(n, Word._make(g, True))
+
+
+@given(_actions())
+@example((IDENTITY, BASEPOINT))
+@example((W("a1 a2"), P((0, 1), "a2^-1 a1^-1")))  # cancels all of g
+def test_tree_act_equals_the_gromov_formula(pair):
+    h, p = pair
+    got, expected = tree_act(h, p), _tree_act_by_gromov(h, p)
+    assert (got.n, got.g) == (expected.n, expected.g)

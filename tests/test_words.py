@@ -192,6 +192,37 @@ def test_double_gromov_equals_definitional_formula(pair):
     assert word_dist(g, h) == difference
 
 
+def _stack_product(w: Word, v: Word) -> Word:
+    """Reduced form of the concatenation by pushing every letter through one stack."""
+    stack = []
+    for idx, sign in w.letters + v.letters:
+        if stack and stack[-1] == (idx, -sign):
+            stack.pop()
+        else:
+            stack.append((idx, sign))
+    return Word(stack)
+
+
+_FACTORS = st.one_of(
+    st.lists(_LETTERS, max_size=120).map(Word),
+    st.lists(_LETTERS, max_size=120).map(Word).map(reduce),
+    _LETTERS.map(lambda lt: Word([lt])),
+)
+
+
+@given(_FACTORS, _FACTORS, st.booleans())
+@example(IDENTITY, IDENTITY, False)
+@example(parse_word("a1 a2^-1 b", OMEGA_PLUS_ONE), IDENTITY, True)  # full cancellation
+@example(parse_word("a1 a2 a2^-1 a3", OMEGA_PLUS_ONE), parse_word("a3^-1 a1^-1", OMEGA_PLUS_ONE), False)
+@example(parse_word("a2", OMEGA_PLUS_ONE), parse_word("a2^-1 a2^-1", OMEGA_PLUS_ONE), False)
+def test_multiply_scans_only_the_junction(w, v, invert):
+    if invert:
+        v = inverse(w)
+    product = multiply(w, v)
+    assert product.reduced and product == _stack_product(w, v)
+    assert Word(product.letters).reduced
+
+
 def test_common_prefix_examples():
     assert common_prefix(W("a1 a2"), W("a1 a3")) == W("a1")
     g = W("a3 a1")

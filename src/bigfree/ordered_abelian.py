@@ -246,27 +246,7 @@ class LexVector:
         return LexVector._make(tuple((i, -v) for i, v in self.entries))
 
     def __sub__(self, other: "LexVector") -> "LexVector":
-        a, b = self.entries, other.entries
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ia, va = a[i]
-            ib, vb = b[j]
-            if ia == ib:
-                s = va - vb
-                if s != 0:
-                    out.append((ia, s if type(s) is int else _norm_coord(s)))
-                i += 1
-                j += 1
-            elif ia < ib:
-                out.append((ia, va))
-                i += 1
-            else:
-                out.append((ib, -vb))
-                j += 1
-        out.extend(a[i:])
-        out.extend((ib, -vb) for ib, vb in b[j:])
-        return LexVector._make(tuple(out))
+        return self + (-other)
 
     def __abs__(self) -> "LexVector":
         return -self if self.sign() < 0 else self
@@ -277,8 +257,7 @@ class LexVector:
         return LexVector._make(tuple((i, _norm_coord(v * factor)) for i, v in self.entries))
 
     def double(self) -> "LexVector":
-        return LexVector._make(tuple((i, v + v if type(v) is int else _norm_coord(v + v))
-                                     for i, v in self.entries))
+        return self + self  # __add__ already stores whole Fractions as ints
 
     def __str__(self):
         return format_vector(self)

@@ -159,11 +159,11 @@ def exhaustive_two_smallest_violations(two_c: np.ndarray, block: int = 8) -> int
     """Ordered triples where the two smallest pairwise products differ.
 
     That is, the least of x, y, z is unique: z < min(x, y), or
-    min(x, y) < z with x != y.  Only the order of the keys matters, so
-    fewer than 256 distinct keys are replaced by their ranks as uint8.
+    min(x, y) < z with x != y.  Only the order of the keys matters, so the
+    keys are replaced by their ranks in the smallest unsigned type.
     """
     keys, ranks = np.unique(two_c, return_inverse=True)
-    two_c = ranks.reshape(two_c.shape).astype(np.uint8) if len(keys) < 256 else _downcast(two_c)
+    two_c = ranks.reshape(two_c.shape).astype(np.min_scalar_type(max(len(keys) - 1, 0)))
     n = two_c.shape[0]
     violations = 0
     for start in range(0, n, block):

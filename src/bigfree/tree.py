@@ -7,8 +7,8 @@ That product c(g, h) is the length vector of the common prefix, so it is
 integral and is compared against offsets as it is; a vector is doubled only
 where c itself is subtracted twice: in ``interval_dist`` when c is the least
 of the two offsets and c, and in the far branch of the action.  The action
-reads c off the letters of g that cancel against h, the one scan of the
-junction that ``multiply`` makes.
+reads both c and the product h g off the letters of g that cancel against
+h: the one junction scan that ``multiply`` also makes.
 
 ``EdgePoint`` is the one model of a point inside the edge from w to w a^p:
 the tree puts a lattice offset there (the paper's Z^c interval), the Cayley
@@ -37,8 +37,8 @@ from .ordered_abelian import (
 from .words import (
     IDENTITY,
     Word,
-    _cancel_len,
     _count_vector,
+    _junction,
     _prefix_len,
     common_prefix,
     format_word,
@@ -121,13 +121,12 @@ def tree_act(h: Word, p: TreePoint) -> TreePoint:
     if not h.reduced:
         raise BigFreeError("acting word must be reduced")
     # c(g, h^-1) is the letter count of the k letters of g that cancel against h
-    k = _cancel_len(h.letters, p.g.letters)
+    k, hg = _junction(h.letters, p.g.letters)
     c = _count_vector(p.g.letters[:k], 1)
     h_len = length_vector(h)
     if p.n <= c:
         return TreePoint(h_len - p.n, h)
-    far = Word._make(h.letters[:len(h) - k] + p.g.letters[k:], True)  # the product h g
-    return TreePoint(h_len + p.n - c.double(), far)
+    return TreePoint(h_len + p.n - c.double(), Word._make(hg, True))
 
 
 def y_point(v: Word, x: Word, y: Word) -> Word:
@@ -250,10 +249,10 @@ def edge_point_dist(x, y) -> LexVector:
             if offset is not None:
                 d = d + offset
         return d
+    if k == len(fy) < len(fx):
+        x, y, fx, fy = y, x, fy, fx
     if k < len(fy):  # fx is a proper prefix of fy
         return _count_vector(fy[k:], 1) - _back(y) + _back(x)
-    if k < len(fx):
-        return _count_vector(fx[k:], 1) - _back(x) + _back(y)
     return abs(_back(x) - _back(y))  # same far word
 
 

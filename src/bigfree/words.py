@@ -120,18 +120,22 @@ def _cancel_len(a: tuple, b: tuple) -> int:
     return k
 
 
-def multiply(w: Word, v: Word) -> Word:
-    """Reduced form of the concatenation, by a scan of the junction only.
+def _junction(a: tuple, b: tuple) -> Tuple[int, tuple]:
+    """The k letters of reduced ``a`` that cancel against reduced ``b``, and the reduced join.
 
-    Both factors are reduced first, so only the last letters of w can cancel
-    against the first letters of v; the product drops those k letters from
-    each side and joins the rest.
+    Only the last letters of a can cancel against the first letters of b;
+    the join drops those k letters from each side and keeps the rest.
     """
+    k = _cancel_len(a, b)
+    return k, a[:len(a) - k] + b[k:]
+
+
+def multiply(w: Word, v: Word) -> Word:
+    """Reduced form of the concatenation: both factors reduced, then joined at the junction."""
     a, b = reduce(w).letters, reduce(v).letters
     if not a or not b or a[-1] != (b[0][0], -b[0][1]):
         return Word._make(a + b, True)  # nothing cancels: the common case for one-letter factors
-    k = _cancel_len(a, b)
-    return Word._make(a[:len(a) - k] + b[k:], True)
+    return Word._make(_junction(a, b)[1], True)
 
 
 def inverse(w: Word) -> Word:

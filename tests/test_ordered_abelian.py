@@ -4,7 +4,6 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given, strategies as st
 
 from bigfree.ordered_abelian import (
     BigFreeError,
@@ -168,18 +167,3 @@ def test_min_and_sorting_work_through_rich_comparisons():
     xs = [vec(1), vec(0, 5), vec(1, -1), ZERO]
     assert min(xs) == ZERO
     assert sorted(xs) == [ZERO, vec(0, 5), vec(1, -1), vec(1)]
-
-
-_VECTORS = st.dictionaries(
-    st.sampled_from([1, 2, 3, 5, TOP]),
-    st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4)),
-    max_size=5,
-).map(LexVector)
-
-
-@given(_VECTORS, _VECTORS)
-@example(vec(1, Fraction(1, 2), top=Fraction(3, 2)), vec(1, Fraction(-1, 2), top=Fraction(1, 2)))
-@example(ZERO, vec(0, 2, top=-1))
-def test_sub_and_double_equal_their_additive_forms(a, b):
-    assert a - b == a + (-b)
-    assert a.double() == a + a

@@ -5,15 +5,18 @@ unit edge from w to w a^p with exact rational 0 < t < 1: ``tree.EdgePoint``
 with a rational offset, the paper's R interval.  Distances extend the word
 metric: the position of a point is L(w) + t L(a), and the tree's formula
 subtracts twice the smallest of the two positions and the Gromov product of
-the far endpoints.  Finite balls export to DOT and JSON.
+the far endpoints.  A finite ball is a tree built breadth first: each edge
+records its child, vertices sort by rank-coded letters, and the DOT and JSON
+exports format each vertex once, write the JSON layout directly and form no
+product.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .ordered_abelian import (
     TOP,
@@ -145,11 +148,16 @@ def embed_compare(
 
 @dataclass(frozen=True)
 class BallGraph:
-    """Tree of all words within a letter-count radius of the center."""
+    """Tree of all words within a letter-count radius of the center.
+
+    Vertices are sorted by length, then letter by letter; each edge is a
+    (parent, letter, child) triple with child = parent * letter, and edges
+    are sorted by their parent's place among the vertices, then by letter.
+    """
 
     center: Word
     vertices: Tuple[Word, ...]
-    edges: Tuple[Tuple[Word, Letter], ...]  # (parent, letter): child = parent * letter
+    edges: Tuple[Tuple[Word, Letter, Word], ...]  # (parent, letter, child)
     max_len: int
     max_letter: int
 
@@ -157,10 +165,6 @@ class BallGraph:
 def _letter_key(lt: Letter) -> tuple:
     idx, sign = lt
     return (idx is TOP, idx if idx is not TOP else 0, 0 if sign > 0 else 1)
-
-
-def _word_key(w: Word) -> tuple:
-    return (len(w.letters), tuple(_letter_key(lt) for lt in w.letters))
 
 
 def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) -> BallGraph:
@@ -175,65 +179,69 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
         raise BigFreeError("ball radius and letter bound must be >= 0")
     if max_len >= 1 and 1 + 2 * max_letter > cap:
         raise ResourceLimitError(f"ball would exceed {cap} vertices")
-    # radius 0 uses no letter; otherwise the guard above keeps the alphabet below cap
+    # radius 0 uses no letter; otherwise the guard above keeps the alphabet below cap.
+    # The alphabet is listed in _letter_key order, so each vertex's out-edges are too.
     alphabet = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
     vertices = [center]
-    edges: list = []
-    frontier: List[Tuple[Word, Optional[Letter]]] = [(center, None)]
+    out: List[list] = [[]]  # out[i]: the edges from vertices[i]
+    frontier: List[Tuple[int, Optional[Letter]]] = [(0, None)]  # (vertex index, letter back to its parent)
     for _ in range(max_len):
         next_frontier = []
-        for v, came_by in frontier:
+        for i, back in frontier:
+            v, edges = vertices[i], out[i]
             for lt in alphabet:
-                if came_by is not None and lt == (came_by[0], -came_by[1]):
+                if lt == back:
                     continue  # would backtrack toward the center
                 child = multiply(v, Word._make((lt,), True))
-                edges.append((v, lt))
+                edges.append((v, lt, child))
+                next_frontier.append((len(vertices), (lt[0], -lt[1])))
                 vertices.append(child)
-                next_frontier.append((child, lt))
+                out.append([])
                 if len(vertices) > cap:
                     raise ResourceLimitError(f"ball would exceed {cap} vertices")
         frontier = next_frontier
-    order = sorted(range(len(vertices)), key=lambda i: _word_key(vertices[i]))
-    ordered_vertices = tuple(vertices[i] for i in order)
-    edges.sort(key=lambda e: (_word_key(e[0]), _letter_key(e[1])))
-    return BallGraph(center, ordered_vertices, tuple(edges), max_len, max_letter)
+    rank = {lt: r for r, lt in enumerate(sorted({*alphabet, *center.letters}, key=_letter_key))}
+    keys = [(len(v.letters), tuple(map(rank.__getitem__, v.letters))) for v in vertices]
+    order = sorted(range(len(vertices)), key=keys.__getitem__)
+    return BallGraph(center, tuple(vertices[i] for i in order),
+                     tuple(e for i in order for e in out[i]), max_len, max_letter)
 
 
-def _labels(graph: BallGraph, identity: str) -> Tuple[Dict[Word, str], List[Tuple[str, str, Letter]]]:
-    """Each vertex word formatted once, and the (parent, child, letter) labels of each edge."""
-    label = {v: format_word(v) or identity for v in graph.vertices}
-    edges = [(label[parent], label[multiply(parent, Word._make((lt,), True))], lt)
-             for parent, lt in graph.edges]
-    return label, edges
+def _labels(graph: BallGraph, quote: Callable[[str], str]) -> Tuple[Dict[tuple, str], List[Tuple[str, str, Letter]]]:
+    """Each vertex formatted and quoted once, keyed by its letters in vertex
+    order, and the (parent, child, letter) labels of each edge."""
+    label = {v.letters: quote(format_word(v)) for v in graph.vertices}
+    return label, [(label[parent.letters], label[child.letters], lt) for parent, lt, child in graph.edges]
 
 
 def ball_dot(graph: BallGraph) -> str:
     """Deterministic DOT text; edges point along the positive generator."""
-    label, edges = _labels(graph, "1")
-    lines = ["digraph ball {"]
-    lines.append(f'  "{label[graph.center]}" [shape=doublecircle];')
-    for v in graph.vertices:
-        if v != graph.center:
-            lines.append(f'  "{label[v]}";')
+    label, edges = _labels(graph, lambda text: f'"{text or "1"}"')
+    center = label[graph.center.letters]
+    lines = ["digraph ball {", f"  {center} [shape=doublecircle];"]
+    lines += [f"  {name};" for name in label.values() if name != center]
     for parent, child, lt in edges:
         tail, head = (parent, child) if lt[1] > 0 else (child, parent)
-        lines.append(f'  "{tail}" -> "{head}" [label="{letter_name(lt[0])}"];')
+        lines.append(f'  {tail} -> {head} [label="{letter_name(lt[0])}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def ball_json(graph: BallGraph) -> str:
-    """JSON with vertices, edges and center keys; word grammar strings."""
-    label, edges = _labels(graph, "")
-    payload = {
-        "center": label[graph.center],
-        "vertices": [label[v] for v in graph.vertices],
-        "edges": [
-            {"from": parent, "to": child, "label": letter_name(lt[0]) + ("" if lt[1] > 0 else "^-1")}
-            for parent, child, lt in edges
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """JSON with center, vertices and edges keys; word grammar strings.
+
+    Written straight in the fixed layout of ``json.dumps(..., indent=2)``,
+    each word quoted by the encoder's own ASCII escaping.
+    """
+    label, edges = _labels(graph, encode_basestring_ascii)
+    vertices = ",\n    ".join(label.values())
+    items = ",\n    ".join(
+        f'{{\n      "from": {parent},\n      "to": {child},\n      '
+        f'"label": "{letter_name(lt[0])}{"" if lt[1] > 0 else "^-1"}"\n    }}'
+        for parent, child, lt in edges)
+    edge_list = f"[\n    {items}\n  ]" if items else "[]"
+    return (f'{{\n  "center": {label[graph.center.letters]},\n  "vertices": [\n    {vertices}\n  ],\n'
+            f'  "edges": {edge_list}\n}}\n')
 
 
 # -- text form --------------------------------------------------------------------

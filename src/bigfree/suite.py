@@ -65,6 +65,7 @@ from .words import (
     is_subword,
     length_vector,
     multiply,
+    parse_word,
     reduce,
     subwords,
     truncate,
@@ -656,8 +657,6 @@ def _check_cayley_special_formulas(rec: _Recorder, rng: Random, samples: int) ->
 
 def _check_ball_tree(rec: _Recorder, rng: Random, samples: int) -> None:
     for center_text, max_len, max_letter in (("", 0, 3), ("", 1, 3), ("", 2, 3), ("a1 a2", 2, 2), ("a2^-1", 3, 2)):
-        from .words import parse_word
-
         center = parse_word(center_text)
         graph = ball_graph(center, max_len, max_letter)
         rec.expect(len(graph.edges) == len(graph.vertices) - 1, "ball edge count is not |V|-1")
@@ -668,10 +667,10 @@ def _check_ball_tree(rec: _Recorder, rng: Random, samples: int) -> None:
             return sum(val for _, val in word_dist(center, v).entries)
 
         # edges always step away from the center, so the parent's relative
-        # radius orders them into a valid traversal
-        for parent, lt in sorted(graph.edges, key=lambda e: radius(e[0])):
-            child = multiply(parent, Word._make((lt,), True))
-            rec.expect(parent in seen, "ball edge from an unreached vertex")
+        # radius orders them into a valid traversal; the product is the oracle of each stored child
+        for parent, lt, child in sorted(graph.edges, key=lambda e: radius(e[0])):
+            rec.expect(parent in seen and child == multiply(parent, Word._make((lt,), True)),
+                       "ball edge from an unreached vertex, or its child is not parent * letter")
             seen.add(child)
         rec.expect(seen == set(graph.vertices), "ball is not connected")
         for v in graph.vertices:
@@ -708,14 +707,16 @@ def ball_inclusion_sweep(rec: _Recorder, words: Sequence[Word], thresholds: Sequ
         for v in words:
             u = difference_word(w, v)
             ulen = length_vector(u)
+            # u uses only letters above a exactly when its least index is above a
+            least = min((idx for idx, _ in u.letters), default=None)
             for a in thresholds:
                 if ulen < units[a]:
-                    rec.expect(uses_only_letters_above(u, a),
+                    rec.expect(least is None or least > a,
                                lambda: f"metric ball at index {a} leaks outside the letter ball")
                 else:
                     rec.count()
             for a, family in families.items():
-                if uses_only_letters_above(u, a + 1):
+                if least is None or least > a + 1:
                     for eps in family:
                         rec.expect(ulen < eps,
                                    lambda: f"letter ball at successor of {a} leaks outside eps = {eps}")

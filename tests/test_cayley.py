@@ -23,10 +23,11 @@ from bigfree.cayley import (
     parse_cayley_point,
     position,
 )
-from bigfree.ordered_abelian import BigFreeError, LexVector, ZERO
+from bigfree.ordered_abelian import OMEGA, OMEGA_PLUS_ONE, TOP, BigFreeError, LexVector, ZERO
 from bigfree.sampling import random_cayley_point, random_reduced_word
 from bigfree.words import (
-    IDENTITY, double_gromov, format_word, inverse, length_vector, multiply, parse_word, word_dist,
+    IDENTITY, Word, double_gromov, format_word, inverse, length_vector, letter_name, multiply, parse_word,
+    word_dist,
 )
 
 
@@ -245,6 +246,54 @@ def test_ball_exports_name_each_child_by_the_product_even_toward_the_identity():
         name = edge["label"].split("^")[0]
         expected.append((parent, child, name) if edge["label"] == name else (child, parent, name))
     assert re.findall(r'"(.*?)" -> "(.*?)" \[label="(.*?)"\];', ball_dot(graph)) == expected
+
+
+def _old_letter_key(lt):
+    idx, sign = lt
+    return (idx is TOP, idx if idx is not TOP else 0, 0 if sign > 0 else 1)
+
+
+def _old_word_key(w):
+    return (len(w.letters), tuple(_old_letter_key(lt) for lt in w.letters))
+
+
+def _old_exports(graph):
+    """DOT and JSON by the old route: each edge child re-multiplied, JSON by ``json.dumps``."""
+    label = {v: format_word(v) for v in graph.vertices}
+    edges = [(label[p], format_word(multiply(p, Word((lt,)))), lt) for p, lt, _ in graph.edges]
+    dot = ["digraph ball {", f'  "{label[graph.center] or "1"}" [shape=doublecircle];']
+    dot += [f'  "{label[v] or "1"}";' for v in graph.vertices if v != graph.center]
+    for p, c, lt in edges:
+        tail, head = (p or "1", c or "1") if lt[1] > 0 else (c or "1", p or "1")
+        dot.append(f'  "{tail}" -> "{head}" [label="{letter_name(lt[0])}"];')
+    payload = {
+        "center": label[graph.center],
+        "vertices": [label[v] for v in graph.vertices],
+        "edges": [{"from": p, "to": c, "label": letter_name(lt[0]) + ("" if lt[1] > 0 else "^-1")}
+                  for p, c, lt in edges],
+    }
+    return "\n".join(dot + ["}"]) + "\n", json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("center_text,alphabet,max_len,max_letter,size", [
+    ("", OMEGA, 0, 3, 1),
+    ("a1 a2", OMEGA, 0, 2, 1),
+    ("a1 a2", OMEGA, 2, 0, 1),
+    ("", OMEGA, 2, 3, 37),
+    ("a1 a2^-1", OMEGA, 3, 2, 53),
+    ("a2^-1 a1^3", OMEGA, 2, 3, 37),
+    ("b a1^-1", OMEGA_PLUS_ONE, 2, 2, 17),
+    ("a2 b^-1", OMEGA_PLUS_ONE, 1, 1, 3),
+    ("a1 a2^-1", OMEGA, 4, 4, 3201),
+])
+def test_ball_order_and_exports_match_the_old_route(center_text, alphabet, max_len, max_letter, size):
+    graph = ball_graph(parse_word(center_text, alphabet), max_len, max_letter)
+    assert len(graph.vertices) == size and len(graph.edges) == size - 1
+    assert list(graph.vertices) == sorted(graph.vertices, key=_old_word_key)
+    pairs = [(p, lt) for p, lt, _ in graph.edges]
+    assert pairs == sorted(pairs, key=lambda e: (_old_word_key(e[0]), _old_letter_key(e[1])))
+    assert all(child == multiply(p, Word((lt,))) for p, lt, child in graph.edges)
+    assert (ball_dot(graph), ball_json(graph)) == _old_exports(graph)
 
 
 # -- text form --------------------------------------------------------------------------

@@ -101,6 +101,13 @@ def test_ball_dot_and_json(capsys):
     assert payload["center"] == ""
 
 
+@pytest.mark.parametrize("flag,golden", [("--dot", "ball_2_3.dot"), ("--json", "ball_2_3.json")])
+def test_ball_export_prints_its_golden_bytes(capsys, flag, golden):
+    code, out, err = run(capsys, "ball", "2", "3", flag)
+    with open(os.path.join(ROOT, "tests", "golden", golden), "rb") as fh:
+        assert (code, out.encode(), err) == (0, fh.read(), "")
+
+
 def test_ball_requires_a_format_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ball", "1", "3"])

@@ -26,6 +26,7 @@ from .ordered_abelian import (
     LexVector,
     OMEGA,
     ParseError,
+    ResourceLimitError,
     ZERO,
     check_index,
 )
@@ -45,10 +46,6 @@ from .words import (
     letter_name,
     multiply,
 )
-
-class ResourceLimitError(BigFreeError):
-    """A finite construction would exceed its configured cap."""
-
 
 class CayleyPoint(EdgePoint):
     """Graph edge point: rational offset t with 0 < t < 1; vertices are bare Words."""

@@ -27,6 +27,10 @@ class ParseError(BigFreeError):
     """Malformed text form."""
 
 
+class ResourceLimitError(BigFreeError):
+    """A finite construction would exceed its configured cap."""
+
+
 class _Top:
     """The distinguished index above every natural rank.
 

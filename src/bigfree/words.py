@@ -22,6 +22,7 @@ from .ordered_abelian import (
     LexVector,
     OMEGA,
     ParseError,
+    ResourceLimitError,
     check_index,
 )
 
@@ -369,6 +370,7 @@ _TOKEN = re.compile(r"\S+")
 _LETTER_NAME = r"(?:a([1-9][0-9]*)|b)"
 _WORD_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?[0-9]+))?")
 _LETTER_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?1))?")
+MAX_WORD_LETTERS = 1_000_000  # parse_word refuses longer text words instead of exhausting memory
 
 
 def letter_name(idx: AlphabetIndex) -> str:
@@ -388,20 +390,27 @@ def parse_letter_token(token: str, alphabet: Alphabet) -> Tuple[AlphabetIndex, i
 
 
 def parse_word(text: str, alphabet: Alphabet = OMEGA) -> Word:
-    """Parse ``a<k>``/``a<k>^<e>`` tokens (``b`` = TOP letter); no reduction."""
+    """Parse ``a<k>``/``a<k>^<e>`` tokens (``b`` = TOP letter); no reduction.
+
+    Raises ResourceLimitError before the word would pass MAX_WORD_LETTERS.
+    """
     letters = []
     for m in _TOKEN.finditer(text):
-        token = m.group(0)
-        tm = _WORD_TOKEN.fullmatch(token)
-        if not tm:
-            raise ParseError(f"bad token {token!r} at position {m.start() + 1}")
-        idx: AlphabetIndex = TOP if tm.group(1) is None else int(tm.group(1))
-        alphabet.check_index(idx)
-        exp = 1 if tm.group(2) is None else int(tm.group(2))
+        tm = _WORD_TOKEN.fullmatch(m.group())
+        if tm is None:
+            raise ParseError(f"bad token {m.group()!r} at position {m.start() + 1}")
+        k, e = tm.groups()
+        if k is None:
+            alphabet.check_index(TOP)
+            idx: AlphabetIndex = TOP
+        else:
+            idx = int(k)  # the token grammar admits only ranks >= 1
+        exp = 1 if e is None else int(e)
         if exp == 0:
-            raise ParseError(f"zero exponent in token {token!r} at position {m.start() + 1}")
-        sign = 1 if exp > 0 else -1
-        letters.extend((idx, sign) for _ in range(abs(exp)))
+            raise ParseError(f"zero exponent in token {m.group()!r} at position {m.start() + 1}")
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise ResourceLimitError(f"word would exceed {MAX_WORD_LETTERS} letters")
+        letters += [(idx, 1 if exp > 0 else -1)] * abs(exp)
     letters = tuple(letters)
     return Word._make(letters, _is_reduced(letters))  # the token grammar and alphabet checked each letter
 
@@ -409,17 +418,17 @@ def parse_word(text: str, alphabet: Alphabet = OMEGA) -> Word:
 def format_word(w: Word) -> str:
     """Canonical text: maximal runs of one signed letter collapse to a power."""
     parts = []
-    i = 0
-    letters = w.letters
-    while i < len(letters):
-        idx, sign = letters[i]
-        j = i
-        while j < len(letters) and letters[j] == (idx, sign):
-            j += 1
-        name = letter_name(idx)
-        exp = (j - i) * sign
-        parts.append(name if exp == 1 else f"{name}^{exp}")
-        i = j
+    run, n = None, 0
+    for lt in w.letters + (None,):  # the None closes the last run
+        if lt == run:
+            n += 1
+            continue
+        if n:
+            idx, sign = run
+            name = "b" if idx is TOP else f"a{idx}"  # letter_name, inlined to save a call per run
+            exp = n * sign
+            parts.append(name if exp == 1 else f"{name}^{exp}")
+        run, n = lt, 1
     return " ".join(parts)
 
 

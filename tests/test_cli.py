@@ -192,6 +192,11 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("word", ["a1^1000001", "a1^500001 a2^500001"])
+def test_words_past_the_letter_cap_are_one_line_errors(capsys, word):
+    assert run(capsys, "len", word) == (1, "", "error: word would exceed 1000000 letters\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["ball-metric", "", "[x]", "a1"],
     ["ball-metric", "", "[1/0]", "a1"],

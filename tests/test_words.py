@@ -10,11 +10,24 @@ from random import Random
 import pytest
 from hypothesis import example, given, strategies as st
 
-from bigfree.ordered_abelian import OMEGA_PLUS_ONE, BigFreeError, LexVector, ParseError, TOP, ZERO
+from bigfree.ordered_abelian import (
+    OMEGA,
+    OMEGA_PLUS_ONE,
+    BigFreeError,
+    LexVector,
+    ParseError,
+    ResourceLimitError,
+    TOP,
+    ZERO,
+)
 from bigfree.sampling import enumerate_reduced_words, random_reduced_word, random_word
 from bigfree.words import (
     IDENTITY,
+    MAX_WORD_LETTERS,
     Word,
+    _TOKEN,
+    _WORD_TOKEN,
+    _is_reduced,
     common_prefix,
     double_gromov,
     format_word,
@@ -23,6 +36,7 @@ from bigfree.words import (
     inverse,
     is_subword,
     length_vector,
+    letter_name,
     multiply,
     parse_word,
     reduce,
@@ -88,6 +102,103 @@ def test_format_roundtrip_is_canonical():
         assert parse_word(format_word(w)) == w
     assert format_word(W("a1 a1 a2^-1 a2^-1 a2^-1")) == "a1^2 a2^-3"
     assert format_word(IDENTITY) == ""
+
+
+def oracle_parse_word(text, alphabet=OMEGA):
+    """The letter-by-letter parser that ``parse_word`` replaced, kept as its reference."""
+    letters = []
+    for m in _TOKEN.finditer(text):
+        token = m.group(0)
+        tm = _WORD_TOKEN.fullmatch(token)
+        if not tm:
+            raise ParseError(f"bad token {token!r} at position {m.start() + 1}")
+        idx = TOP if tm.group(1) is None else int(tm.group(1))
+        alphabet.check_index(idx)
+        exp = 1 if tm.group(2) is None else int(tm.group(2))
+        if exp == 0:
+            raise ParseError(f"zero exponent in token {token!r} at position {m.start() + 1}")
+        sign = 1 if exp > 0 else -1
+        letters.extend((idx, sign) for _ in range(abs(exp)))
+    letters = tuple(letters)
+    return Word._make(letters, _is_reduced(letters))
+
+
+def oracle_format_word(w):
+    """The index-scanning formatter that ``format_word`` replaced, kept as its reference."""
+    parts = []
+    i = 0
+    letters = w.letters
+    while i < len(letters):
+        idx, sign = letters[i]
+        j = i
+        while j < len(letters) and letters[j] == (idx, sign):
+            j += 1
+        name = letter_name(idx)
+        exp = (j - i) * sign
+        parts.append(name if exp == 1 else f"{name}^{exp}")
+        i = j
+    return " ".join(parts)
+
+
+def _outcome(parse, text, alphabet):
+    """Letters and reduction flag of a parse, or the type and text of what it raised."""
+    try:
+        w = parse(text, alphabet)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return w.letters, w.reduced
+
+
+_RUNS = st.lists(st.tuples(st.sampled_from([1, 2, 3, 7, 12, TOP]), st.sampled_from([1, -1]),
+                           st.integers(1, 40)), max_size=40)
+_MALFORMED = ["a0", "a01", "q7", "a2^0", "b", "^2", "a1^", "a3^+2"]
+_TOKENS = st.one_of(
+    st.builds(lambda k, e: f"a{k}^{e}", st.integers(1, 12), st.integers(-5, 5).filter(bool)),
+    st.builds("a{}^1".format, st.integers(1, 12)),
+    st.builds("a{}^-1".format, st.integers(1, 12)),
+    st.builds("a{}".format, st.integers(1, 12)),
+    st.sampled_from(["b", "b^-1", "b^3"] + _MALFORMED),
+)
+
+
+@given(_RUNS)
+@example([])
+@example([(TOP, -1, 40), (TOP, 1, 1), (1, 1, 40), (1, -1, 40), (1, 1, 40), (1, 1, 1)])
+def test_format_word_matches_its_oracle(runs):
+    """Words up to 200 letters with long runs, mixed signs and TOP letters."""
+    w = Word([(idx, sign) for idx, sign, n in runs for _ in range(n)][:200])
+    text = format_word(w)
+    assert text == oracle_format_word(w)
+    assert parse_word(text, OMEGA_PLUS_ONE) == w
+
+
+@given(st.lists(st.tuples(_TOKENS, st.sampled_from([" ", "\t", "\n", "  ", " \t\n "])), max_size=30),
+       st.sampled_from([OMEGA, OMEGA_PLUS_ONE]))
+@example([("a3^1", "\t"), ("a3^-1", "\n"), ("a3^1", " ")], OMEGA)
+def test_parse_word_matches_its_oracle(tokens, alphabet):
+    """Same letters and flag, or the same exception type and text, on valid and malformed text."""
+    text = "".join(sep + token for token, sep in tokens)
+    assert _outcome(parse_word, text, alphabet) == _outcome(oracle_parse_word, text, alphabet)
+
+
+@pytest.mark.parametrize("token", _MALFORMED)
+def test_parse_word_rejects_malformed_tokens_as_its_oracle_does(token):
+    text = f"a1 a2^-1\t{token} a3"
+    got = _outcome(parse_word, text, OMEGA)
+    assert got == _outcome(oracle_parse_word, text, OMEGA)
+    assert got[0] is (BigFreeError if token == "b" else ParseError)  # b: TOP is not in omega
+
+
+@pytest.mark.parametrize("text", [f"a1^{MAX_WORD_LETTERS + 1}",
+                                  f"a1^{MAX_WORD_LETTERS // 2 + 1} a2^-{MAX_WORD_LETTERS // 2 + 1}"])
+def test_parse_word_refuses_words_past_the_letter_cap(text):
+    """The cap counts the running total of letters, not each token on its own."""
+    with pytest.raises(ResourceLimitError, match=f"word would exceed {MAX_WORD_LETTERS} letters"):
+        parse_word(text)
+
+
+def test_parse_word_accepts_a_word_at_the_letter_cap():
+    assert len(parse_word(f"a1^{MAX_WORD_LETTERS - 1} a2")) == MAX_WORD_LETTERS
 
 
 # -- reduction -----------------------------------------------------------------

@@ -35,6 +35,7 @@ from .cayley import (
 )
 from .ordered_abelian import (
     BigFreeError,
+    ResourceLimitError,
     alphabet_by_name,
     format_vector,
     parse_vector,
@@ -116,7 +117,18 @@ def _cmd_cancel_verify(args) -> int:
     })
 
 
+MAX_AXIOM_SAMPLE = 1000  # axioms-check forms every pairwise product, so its cost grows with the square
+
+
 def _cmd_axioms_check(args) -> int:
+    total = layer = 1  # reduced words counted one length at a time, before any is built
+    for length in range(args.max_len):
+        layer = 2 * args.max_letter if length == 0 else layer * (2 * args.max_letter - 1)
+        if layer <= 0:
+            break
+        total += layer
+        if total > MAX_AXIOM_SAMPLE:
+            raise ResourceLimitError(f"axioms-check sample would exceed {MAX_AXIOM_SAMPLE} elements")
     sample = enumerate_reduced_words(args.max_len, args.max_letter)
     violation = check_length_axioms(bf_length_oracle(), sample)
     if violation is None:

@@ -154,7 +154,7 @@ def enumerate_reduced_words(max_len: int, max_index: int) -> List[Word]:
     alphabet = [(k, s) for k in range(1, max_index + 1) for s in (1, -1)]
     out = [Word._make((), True)]
     layer: List[tuple] = [()]
-    for _ in range(max_len):
+    for _ in range(max_len if alphabet else 0):
         next_layer = []
         for letters in layer:
             for lt in alphabet:

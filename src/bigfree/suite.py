@@ -116,6 +116,7 @@ class _Recorder:
 # -- exact exhaustive machinery -------------------------------------------------
 
 _KEY_BASE = 64
+_SWEEP_BLOCK = 8  # rows per numpy block of the exhaustive sweeps, bounding their block x n x n temporaries
 
 
 def encode_vector(vec: LexVector, max_index: int) -> int:
@@ -156,7 +157,7 @@ def _downcast(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def exhaustive_two_smallest_violations(two_c: np.ndarray, block: int = 8) -> int:
+def exhaustive_two_smallest_violations(two_c: np.ndarray) -> int:
     """Ordered triples where the two smallest pairwise products differ.
 
     That is, the least of x, y, z is unique: z < min(x, y), or
@@ -167,8 +168,8 @@ def exhaustive_two_smallest_violations(two_c: np.ndarray, block: int = 8) -> int
     two_c = ranks.reshape(two_c.shape).astype(np.min_scalar_type(max(len(keys) - 1, 0)))
     n = two_c.shape[0]
     violations = 0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, n)
         x = two_c[start:stop, :, None]   # (b, j) against k
         y = two_c[start:stop, None, :]   # (b, k) against j
         z = two_c[None, :, :]            # (j, k)
@@ -177,13 +178,13 @@ def exhaustive_two_smallest_violations(two_c: np.ndarray, block: int = 8) -> int
     return violations
 
 
-def exhaustive_triangle_violations(dist: np.ndarray, block: int = 8) -> int:
+def exhaustive_triangle_violations(dist: np.ndarray) -> int:
     """Ordered triples violating d(i,k) <= d(i,j) + d(j,k) (keys are additive)."""
     dist = _downcast(dist)
     n = dist.shape[0]
     violations = 0
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, n)
         left = dist[start:stop, None, :]         # d(i,k)
         right = dist[start:stop, :, None] + dist[None, :, :]  # d(i,j) + d(j,k)
         violations += int(np.count_nonzero(left > right))

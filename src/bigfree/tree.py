@@ -122,7 +122,7 @@ def tree_act(h: Word, p: TreePoint) -> TreePoint:
         raise BigFreeError("acting word must be reduced")
     # c(g, h^-1) is the letter count of the k letters of g that cancel against h
     k, hg = _junction(h.letters, p.g.letters)
-    c = _count_vector(p.g.letters[:k], 1)
+    c = _count_vector(p.g.letters[:k])
     h_len = length_vector(h)
     if p.n <= c:
         return TreePoint(h_len - p.n, h)
@@ -244,7 +244,7 @@ def edge_point_dist(x, y) -> LexVector:
     wy, fy, oy = _base_far_offset(y)
     k = _prefix_len(fx, fy)
     if k < len(fx) and k < len(fy):  # both past the branch point
-        d = _count_vector(wx[k:] + wy[k:], 1)
+        d = _count_vector(wx[k:] + wy[k:])
         for offset in (ox, oy):
             if offset is not None:
                 d = d + offset
@@ -252,7 +252,7 @@ def edge_point_dist(x, y) -> LexVector:
     if k == len(fy) < len(fx):
         x, y, fx, fy = y, x, fy, fx
     if k < len(fy):  # fx is a proper prefix of fy
-        return _count_vector(fy[k:], 1) - _back(y) + _back(x)
+        return _count_vector(fy[k:]) - _back(y) + _back(x)
     return abs(_back(x) - _back(y))  # same far word
 
 
@@ -326,7 +326,8 @@ def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[Axio
     pairwise inside Gromov products.  Axioms: (1) zero length exactly at the
     identity, (2) inverse symmetry, (3) the ultrametric inequality
     c(g,h) >= min{c(g,k), c(h,k)} for all sample triples, with every doubled
-    product even (so each c lies in the lattice).
+    product even (so each c lies in the lattice).  An axiom-3 witness is the
+    triple ``ultrametric_violation`` fails on, not the first in a fixed order.
     """
     elems = list(sample)
     lengths = [oracle.length(g) for g in elems]
@@ -341,7 +342,7 @@ def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[Axio
             return AxiomViolation("axiom2", (g,), f"L(g) = {lg} != {li} = L(g^-1)")
 
     n = len(elems)
-    doubled: dict = {}
+    doubled = [[None] * n for _ in range(n)]
     for i in range(n):
         gi_inv = oracle.inverse(elems[i])
         for j in range(i, n):
@@ -352,17 +353,32 @@ def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[Axio
                 return AxiomViolation(
                     "integrality", (elems[i], elems[j]),
                     f"2 c(g,h) = {two_c} is not evenly divisible")
-            doubled[(i, j)] = two_c
+            doubled[i][j] = doubled[j][i] = two_c
+    triple = ultrametric_violation(doubled)
+    if triple is not None:
+        g, h, k = triple
+        return AxiomViolation("axiom3", (elems[g], elems[h], elems[k]),
+                              f"c(g,h) = {doubled[g][h]}/2 < min of {doubled[g][k]}/2, {doubled[h][k]}/2")
+    return None
 
-    def two_c(i: int, j: int) -> LexVector:
-        return doubled[(i, j) if i <= j else (j, i)]
 
-    for i in range(n):
-        for j in range(i, n):
-            base = doubled[(i, j)]
-            for k in range(n):
-                if base < min(two_c(i, k), two_c(j, k)):
-                    return AxiomViolation(
-                        "axiom3", (elems[i], elems[j], elems[k]),
-                        f"c(g,h) = {base}/2 < min of {two_c(i, k)}/2, {two_c(j, k)}/2")
+def ultrametric_violation(table: Sequence[Sequence]) -> Optional[Tuple[int, int, int]]:
+    """Indices (g, h, k) with table[g][h] < min(table[g][k], table[h][k]), or None.
+
+    For a symmetric table, in O(n^2) compares: with p the first k < j of largest
+    table[j][k], every triple holds iff table[j][j] >= table[j][p] and table[j][k] ==
+    min(table[j][p], table[p][k]) for all k < j, making each entry the least weight on
+    its path in the tree of edges j -> p (Gower & Ross 1969).  Each of these conditions
+    is one instance of the inequality, so the first that fails gives the triple.
+    """
+    for j in range(1, len(table)):
+        row = table[j]
+        top = max(row[:j])
+        p = row.index(top)
+        if row[j] < top:
+            return (j, j, p)
+        for k in range(j):
+            via = min(top, table[p][k])
+            if row[k] != via:
+                return (j, k, p) if row[k] < via else (p, k, j)
     return None

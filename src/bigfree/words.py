@@ -156,16 +156,16 @@ def length_vector(w: Word) -> LexVector:
         return w._length
     r = reduce(w)
     if r._length is None:
-        r._length = _count_vector(r.letters, 1)
+        r._length = _count_vector(r.letters)
     w._length = r._length
     return r._length
 
 
-def _count_vector(letters: tuple, weight: int) -> LexVector:
-    """``weight`` times the number of letters of each generator."""
+def _count_vector(letters: tuple) -> LexVector:
+    """The number of letters of each generator."""
     counts: dict = {}
     for idx, _ in letters:
-        counts[idx] = counts.get(idx, 0) + weight
+        counts[idx] = counts.get(idx, 0) + 1
     return LexVector._make(tuple(sorted(counts.items())))
 
 
@@ -189,7 +189,7 @@ def word_dist(w: Word, v: Word) -> LexVector:
     """
     w, v = reduce(w), reduce(v)
     k = _prefix_len(w.letters, v.letters)
-    return _count_vector(w.letters[k:] + v.letters[k:], 1)
+    return _count_vector(w.letters[k:] + v.letters[k:])
 
 
 def gromov(g: Word, h: Word) -> LexVector:
@@ -203,7 +203,7 @@ def gromov(g: Word, h: Word) -> LexVector:
     and ``check_length_axioms`` for arbitrary length functions).
     """
     g, h = reduce(g), reduce(h)
-    return _count_vector(g.letters[:_prefix_len(g.letters, h.letters)], 1)
+    return _count_vector(g.letters[:_prefix_len(g.letters, h.letters)])
 
 
 def double_gromov(g: Word, h: Word) -> LexVector:
@@ -356,7 +356,10 @@ def parse_cancellation(text: str) -> Cancellation:
         m = re.fullmatch(r"\s*(\d+)\s*-\s*(\d+)\s*", chunk)
         if not m:
             raise ParseError(f"bad cancellation pair {chunk!r} (want i-j)")
-        pairs.append((int(m.group(1)), int(m.group(2))))
+        try:
+            pairs.append((int(m.group(1)), int(m.group(2))))
+        except ValueError:  # more digits than int() converts
+            raise ParseError("number too long in cancellation pair") from None
     return Cancellation(pairs)
 
 
@@ -383,7 +386,10 @@ def parse_letter_token(token: str, alphabet: Alphabet) -> Tuple[AlphabetIndex, i
     m = _LETTER_TOKEN.fullmatch(token.strip())
     if not m:
         raise ParseError(f"bad letter token {token!r}")
-    idx: AlphabetIndex = TOP if m.group(1) is None else int(m.group(1))
+    try:
+        idx: AlphabetIndex = TOP if m.group(1) is None else int(m.group(1))
+    except ValueError:  # more digits than int() converts
+        raise ParseError("number too long in letter token") from None
     alphabet.check_index(idx)
     sign = 1 if m.group(2) is None else int(m.group(2))
     return idx, sign
@@ -402,10 +408,11 @@ def parse_word(text: str, alphabet: Alphabet = OMEGA) -> Word:
         k, e = tm.groups()
         if k is None:
             alphabet.check_index(TOP)
-            idx: AlphabetIndex = TOP
-        else:
-            idx = int(k)  # the token grammar admits only ranks >= 1
-        exp = 1 if e is None else int(e)
+        try:
+            idx: AlphabetIndex = TOP if k is None else int(k)  # the token grammar admits only ranks >= 1
+            exp = 1 if e is None else int(e)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"number too long in token at position {m.start() + 1}") from None
         if exp == 0:
             raise ParseError(f"zero exponent in token {m.group()!r} at position {m.start() + 1}")
         if len(letters) + abs(exp) > MAX_WORD_LETTERS:

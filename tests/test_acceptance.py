@@ -29,7 +29,7 @@ from bigfree.cayley import embed_compare
 from bigfree.ordered_abelian import LexVector, ZERO
 from bigfree.sampling import (enumerate_reduced_words, random_edge_triple, random_offset_inside,
                               random_reduced_word, random_tree_point, random_word)
-from bigfree.tree import point_eq, tree_act, tree_dist
+from bigfree.tree import point_eq, tree_act, tree_dist, ultrametric_violation
 from bigfree.triples import CirclePoint, EdgeTriple, circle_dist, triple_dist_report
 from bigfree.words import IDENTITY, format_word, multiply, parse_word
 
@@ -81,6 +81,7 @@ def test_criterion_02_zero_hyperbolicity(small_word_tables):
     _, two_c = small_word_tables
     bad = suite.exhaustive_two_smallest_violations(two_c)
     assert bad == 0, f"{bad} exhaustive violations"
+    assert ultrametric_violation(two_c.tolist()) is None  # the quadratic certificate agrees with the sweep
     report(2, f"{SAMPLES} random triples and all {len(two_c)}^3 small-word triples 0-hyperbolic")
 
 

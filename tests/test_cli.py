@@ -60,6 +60,20 @@ def test_axioms_check(capsys):
     code, out, _ = run(capsys, "axioms-check", "--max-len", "2", "--max-letter", "2")
     assert code == 0
     assert out.startswith("pass: 17 elements")  # 1 + 4 + 4*3 reduced words
+    code, out, _ = run(capsys, "axioms-check", "--max-len", "3", "--max-letter", "3")
+    assert (code, out) == (0, "pass: 187 elements, length axioms and integrality hold\n")
+
+
+@pytest.mark.parametrize("max_len, max_letter", [("5", "3"), ("1000000", "3"), ("1000000000000", "1")])
+def test_axioms_check_refuses_samples_past_its_cap_before_building_them(capsys, max_len, max_letter):
+    # 4687 words at length 5; the larger balls would not fit in memory
+    code, out, err = run(capsys, "axioms-check", "--max-len", max_len, "--max-letter", max_letter)
+    assert (code, out, err) == (1, "", "error: axioms-check sample would exceed 1000 elements\n")
+
+
+def test_axioms_check_of_an_empty_alphabet_is_the_identity_alone(capsys):
+    code, out, _ = run(capsys, "axioms-check", "--max-len", "1000000000000", "--max-letter", "0")
+    assert (code, out) == (0, "pass: 1 elements, length axioms and integrality hold\n")
 
 
 def test_triple_commands(capsys):
@@ -208,6 +222,25 @@ def test_bad_numbers_are_one_line_errors_in_grammar_terms(capsys, argv):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not any(leak in err for leak in ("int()", "Fraction(", "literal"))
+
+
+_NINES = "9" * 5000  # past the 4300 digits Python's int() converts by default
+
+
+@pytest.mark.parametrize("argv", [
+    ["len", f"a1^{_NINES}"],
+    ["len", f"a{_NINES}"],
+    ["cancel-verify", "a1 a1^-1", f"1-{_NINES}"],
+    ["embed-compare", "", f"a{_NINES}"],
+    ["circle-dist", f"C(a{_NINES}) @ []", "C(a1) @ []"],
+])
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter's int() has no digit limit")
+def test_numbers_past_the_int_digit_limit_are_one_line_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: number too long") and err.count("\n") == 1
+    assert "internal error" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import bigfree.tree
 from bigfree.cayley import CayleyPoint, format_cayley_point, parse_cayley_point
@@ -25,6 +25,7 @@ from bigfree.tree import (
     position,
     tree_act,
     tree_dist,
+    ultrametric_violation,
     word_point,
     y_point,
 )
@@ -289,6 +290,53 @@ def test_free_abelian_rank_two_violates_ultrametric_at_a_b_ab():
     assert violation is not None
     assert violation.axiom == "axiom3"
     assert violation.elements == (a, b, ab)
+
+
+def brute_force_ultrametric_violation(table):
+    """The first (g, h, k) with table[g][h] < min(table[g][k], table[h][k]): the cubic scan."""
+    n = len(table)
+    for g in range(n):
+        for h in range(n):
+            for k in range(n):
+                if table[g][h] < min(table[g][k], table[h][k]):
+                    return (g, h, k)
+    return None
+
+
+@st.composite
+def _symmetric_tables(draw):
+    """Ultrametric tables (least edge weight on tree paths), perturbed or not, and noise."""
+    n = draw(st.integers(0, 12))
+    weight = st.integers(0, 4)  # a narrow range, so ties are common
+    if draw(st.booleans()):
+        table = [[draw(weight) for _ in range(n)] for _ in range(n)]
+        for j in range(n):
+            for k in range(j):
+                table[k][j] = table[j][k]
+        return table
+    table = [[0] * n for _ in range(n)]
+    for j in range(1, n):
+        p, w = draw(st.integers(0, j - 1)), draw(weight)
+        for k in range(j):
+            table[j][k] = table[k][j] = w if k == p else min(w, table[p][k])
+    for j in range(n):
+        table[j][j] = max([0] + [table[j][k] for k in range(n) if k != j]) + draw(st.integers(0, 1))
+    for _ in range(draw(st.integers(0, 2)) if n else 0):  # a short diagonal or a +-1 entry
+        a, b, d = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.sampled_from((-1, 1)))
+        table[a][b] += d
+        if a != b:
+            table[b][a] += d
+    return table
+
+
+@settings(max_examples=400)
+@given(_symmetric_tables())
+def test_ultrametric_certificate_agrees_with_the_triple_scan(table):
+    found = ultrametric_violation(table)
+    assert (found is None) == (brute_force_ultrametric_violation(table) is None)
+    if found is not None:
+        g, h, k = found
+        assert table[g][h] < min(table[g][k], table[h][k])
 
 
 # -- text form -------------------------------------------------------------------------

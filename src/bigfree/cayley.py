@@ -13,10 +13,9 @@ product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .ordered_abelian import (
     TOP,
@@ -61,10 +60,10 @@ GraphPoint = Union[CayleyPoint, Word]
 
 def cayley_point(w: Word, index: AlphabetIndex, sign: int, t) -> GraphPoint:
     """Build a point, collapsing the endpoints t = 0 and t = 1 to vertices."""
+    if not w.reduced:
+        raise BigFreeError("edge base word must be reduced")
     t = Fraction(t)
     if t == 0:
-        if not w.reduced:
-            raise BigFreeError("base word must be reduced")
         return w
     if t == 1:
         return multiply(w, Word._make(((index, sign),), True))
@@ -77,8 +76,7 @@ cayley_act = act_edge_point
 
 # -- embedding comparison -------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmbedReport:
+class EmbedReport(NamedTuple):
     """Coincidences between the graph-edge and lattice-edge embeddings.
 
     Both embeddings send an edge of the graph into the interval from 0 to
@@ -143,8 +141,7 @@ def embed_compare(
 
 # -- finite balls -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BallGraph:
+class BallGraph(NamedTuple):
     """Tree of all words within a letter-count radius of the center.
 
     Vertices are sorted by length, then letter by letter; each edge is a

@@ -10,9 +10,8 @@ are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 
 class BigFreeError(ValueError):
@@ -77,8 +76,7 @@ def check_index(idx: AlphabetIndex) -> None:
     raise BigFreeError(f"invalid alphabet index {idx!r}")
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(NamedTuple):
     """Index-set instance: ranks 1,2,3,... with or without the TOP letter."""
 
     has_top: bool

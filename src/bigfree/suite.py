@@ -15,10 +15,9 @@ everything asserted is an exact integer/rational identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,12 +75,11 @@ from .words import (
 MAX_REPORTED_FAILURES = 5
 
 
-@dataclass
-class PropertyResult:
+class PropertyResult(NamedTuple):
     module: str
     name: str
     checks: int
-    failures: List[str] = field(default_factory=list)
+    failures: List[str]
     raised: bool = False  # an exception ended the property; its text leads ``failures``
 
     @property

@@ -18,8 +18,7 @@ The distance counts only the letters past the branch point of the two far words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .ordered_abelian import (
     Alphabet,
@@ -147,10 +146,7 @@ def parse_tree_point(text: str, alphabet: Alphabet = OMEGA) -> TreePoint:
         raise ParseError(f"tree point must look like '<vector> @ <word>', got {text!r}")
     vec_part, word_part = text.split("@", 1)
     n = parse_vector(vec_part.strip(), alphabet)
-    g = parse_word(word_part.strip(), alphabet)
-    if not g.reduced:
-        raise BigFreeError("tree point word must be reduced")
-    return TreePoint(n, g)
+    return TreePoint(n, parse_word(word_part.strip(), alphabet))
 
 
 # -- edge points -----------------------------------------------------------------
@@ -297,8 +293,7 @@ def parse_edge_point(text: str, alphabet: Alphabet, build: Callable):
 
 # -- length-function axioms ---------------------------------------------------
 
-@dataclass(frozen=True)
-class LengthOracle:
+class LengthOracle(NamedTuple):
     """Group operations plus a candidate length map into the ordered group."""
 
     multiply: Callable
@@ -307,8 +302,7 @@ class LengthOracle:
     length: Callable
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str  # "axiom1" | "axiom2" | "integrality" | "axiom3"
     elements: tuple
     message: str

@@ -16,8 +16,7 @@ wrap-around circle metric live here too.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .ordered_abelian import (
     TOP,
@@ -27,6 +26,7 @@ from .ordered_abelian import (
     LexVector,
     OMEGA,
     ParseError,
+    ResourceLimitError,
     ZERO,
     check_index,
     parse_vector,
@@ -43,6 +43,7 @@ from .tree import (
 )
 from .words import (
     IDENTITY,
+    MAX_WORD_LETTERS,
     Word,
     inverse,
     letter_name,
@@ -122,8 +123,7 @@ def simplified_triple_dist(e1: EdgeTriple, e2: EdgeTriple) -> LexVector:
     return word_dist(e1.w, e2.w) + e1.t + e2.t
 
 
-@dataclass(frozen=True)
-class TripleDistReport:
+class TripleDistReport(NamedTuple):
     exact: LexVector
     simplified: Optional[LexVector]  # None when either side is degenerate
     agrees: Optional[bool]
@@ -228,9 +228,13 @@ def top_edge_instability(depth: int) -> List[Tuple[int, Word, TriplePoint]]:
 
     The edge letter comes out a_k at every depth: the representation uses a
     fresh letter at each stage and never stabilizes as the truncations grow.
+    Raises ResourceLimitError when the depth(depth+1)/2 letters of the rows
+    would pass MAX_WORD_LETTERS.
     """
     if depth < 0:
         raise BigFreeError("depth must be >= 0")
+    if depth * (depth + 1) // 2 > MAX_WORD_LETTERS:
+        raise ResourceLimitError(f"depth {depth} would exceed {MAX_WORD_LETTERS} letters in all")
     stream = reversed_harmonic_stream()
     top_unit = LexVector.unit(TOP)
     rows = []

@@ -11,8 +11,7 @@ Genuinely infinite words appear only through WordStream truncations.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
 from .ordered_abelian import (
     TOP,
@@ -235,9 +234,15 @@ def is_subword(v: Word, w: Word) -> bool:
 
 
 def subwords(w: Word) -> list:
-    """All initial segments of a reduced word, in increasing order."""
+    """All initial segments of a reduced word, in increasing order.
+
+    Raises ResourceLimitError when their n(n+1)/2 letters would pass MAX_WORD_LETTERS.
+    """
     _require_reduced(w, "subwords argument")
-    return [Word._make(w.letters[:i], True) for i in range(len(w.letters) + 1)]
+    n = len(w.letters)
+    if n * (n + 1) // 2 > MAX_WORD_LETTERS:
+        raise ResourceLimitError(f"subwords would exceed {MAX_WORD_LETTERS} letters in all")
+    return [Word._make(w.letters[:i], True) for i in range(n + 1)]
 
 
 # -- cancellation calculus ---------------------------------------------------
@@ -286,8 +291,7 @@ class Cancellation:
         return f"Cancellation({format_cancellation(self)!r})"
 
 
-@dataclass(frozen=True)
-class CancellationCheck:
+class CancellationCheck(NamedTuple):
     """Outcome of verify_cancellation; reason names the first violated condition."""
 
     ok: bool
@@ -306,33 +310,33 @@ class InvalidCancellationError(BigFreeError):
 
 
 def verify_cancellation(w: Word, c: Cancellation) -> CancellationCheck:
-    """Check completeness, noncrossing and inverse pairing, per position.
+    """Check completeness, noncrossing and inverse pairing, pair by pair.
 
-    Positions outside the word are an error, not a violation report.
+    Positions outside the word are an error, not a violation report.  A
+    pair fails the same way from either end, so each span is scanned once,
+    from its lower end, in the order of ``c.pairs``.
     """
     n = len(w.letters)
     partner = c.partner_map()
     for p in partner:
         if p > n:
             raise BigFreeError(f"position {p} out of range for a word of length {n}")
-    for t in sorted(partner):
-        u = partner[t]
-        lo, hi = (t, u) if t < u else (u, t)
+    for lo, hi in c.pairs:
         span = range(lo, hi + 1)
         for s in span:
             if s not in partner:
                 return CancellationCheck(
-                    False, "complete", t,
+                    False, "complete", lo,
                     f"position {s} in [{lo},{hi}] is unpaired")
         mapped = {partner[s] for s in span}
         if mapped != set(span):
             return CancellationCheck(
-                False, "noncrossing", t,
+                False, "noncrossing", lo,
                 f"([{lo},{hi}]_T)* = {sorted(mapped)} != {list(span)}")
-        if w.letters[u - 1] != inverse_letter(w.letters[t - 1]):
+        if w.letters[hi - 1] != inverse_letter(w.letters[lo - 1]):
             return CancellationCheck(
-                False, "inverse-pairing", t,
-                f"w({u}) is not the inverse of w({t})")
+                False, "inverse-pairing", lo,
+                f"w({hi}) is not the inverse of w({lo})")
     return CancellationCheck(True)
 
 
@@ -373,7 +377,7 @@ _TOKEN = re.compile(r"\S+")
 _LETTER_NAME = r"(?:a([1-9][0-9]*)|b)"
 _WORD_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?[0-9]+))?")
 _LETTER_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?1))?")
-MAX_WORD_LETTERS = 1_000_000  # parse_word refuses longer text words instead of exhausting memory
+MAX_WORD_LETTERS = 1_000_000  # most letters parse_word reads, or subwords and top_edge_instability build in all
 
 
 def letter_name(idx: AlphabetIndex) -> str:
@@ -441,16 +445,16 @@ def format_word(w: Word) -> str:
 
 # -- streams ------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class WordStream:
     """Letter rule on positions 1,2,3,... read forward or in reverse."""
 
-    rule: Callable[[int], Letter]
-    orientation: str = "forward"  # or "reverse"
+    __slots__ = ("rule", "orientation")
 
-    def __post_init__(self):
-        if self.orientation not in ("forward", "reverse"):
-            raise BigFreeError(f"orientation must be forward or reverse, got {self.orientation!r}")
+    def __init__(self, rule: Callable[[int], Letter], orientation: str = "forward"):
+        if orientation not in ("forward", "reverse"):
+            raise BigFreeError(f"orientation must be forward or reverse, got {orientation!r}")
+        self.rule = rule
+        self.orientation = orientation
 
 
 def truncate(stream: WordStream, k: int) -> Word:

@@ -68,6 +68,12 @@ def test_incomplete_pairing_reported():
     assert check.reason == "complete"
 
 
+def test_a_check_is_truthy_exactly_when_the_pairing_is_valid():
+    assert bool(verify_cancellation(W("a1 a1^-1 a2 a2^-1"), Cancellation([(1, 2), (3, 4)]))) is True
+    assert bool(verify_cancellation(W("a1 a2 a1^-1 a2^-1"), Cancellation([(1, 3), (2, 4)]))) is False
+    assert bool(verify_cancellation(W("a1 a1"), Cancellation([(1, 2)]))) is False
+
+
 def test_out_of_range_positions_raise():
     from bigfree.ordered_abelian import BigFreeError
 

@@ -39,6 +39,14 @@ def vec(*coords, top=0):
     return LexVector.from_coords(coords, top=top)
 
 
+@pytest.mark.parametrize("t", ["0", "1/2", "1"])
+def test_an_unreduced_base_word_is_refused_at_every_offset(t):
+    with pytest.raises(BigFreeError, match="^edge base word must be reduced$"):
+        parse_cayley_point(f"(a1 a1^-1 ; a2^1 ; {t})")
+    with pytest.raises(BigFreeError, match="^edge base word must be reduced$"):
+        cayley_point(W("a1 a1^-1"), 2, 1, Fraction(t))
+
+
 def test_cayley_dist_examples():
     x = cayley_point(IDENTITY, 1, 1, Fraction(1, 2))
     assert cayley_dist(x, x) == ZERO
@@ -53,7 +61,7 @@ def test_cayley_dist_examples():
 def test_cayley_point_construction():
     assert cayley_point(W("a2"), 1, 1, 0) == W("a2")
     assert cayley_point(W("a2"), 1, 1, 1) == W("a2 a1")
-    assert cayley_point(W("a1"), 1, -1, 1) == IDENTITY
+    assert cayley_point(W("a1"), 1, -1, 1) == IDENTITY  # ends in the inverse letter, but reduced
     with pytest.raises(BigFreeError):
         CayleyPoint(W("a1^-1"), 1, 1, Fraction(1, 3))
     with pytest.raises(BigFreeError):

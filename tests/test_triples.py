@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bigfree.ordered_abelian import BigFreeError, LexVector, TOP, ZERO
+from bigfree.ordered_abelian import BigFreeError, LexVector, ResourceLimitError, TOP, ZERO
 from bigfree.sampling import (
     random_edge_triple,
     random_offset_inside,
@@ -323,6 +323,13 @@ def test_top_edge_instability_uses_a_fresh_letter_each_depth():
         assert coords.edge_letter() == (k, 1)
         assert coords.w == IDENTITY
         assert coords.t == LexVector.unit(TOP)
+
+
+def test_top_edge_instability_refuses_rows_past_the_word_letter_cap():
+    # the rows hold depth(depth+1)/2 letters: 998,991 at depth 1413, 1,000,405 at 1414
+    for depth in (1414, 100_000):
+        with pytest.raises(ResourceLimitError, match="exceed 1000000 letters"):
+            top_edge_instability(depth)
 
 
 def test_top_edge_instability_table_is_unchanged():

@@ -25,6 +25,7 @@ from bigfree.words import (
     IDENTITY,
     MAX_WORD_LETTERS,
     Word,
+    WordStream,
     _TOKEN,
     _WORD_TOKEN,
     _is_reduced,
@@ -371,6 +372,14 @@ def test_subwords_examples():
         subwords(W("a1 a1^-1"))
 
 
+def test_subwords_refuse_more_than_the_word_letter_cap_in_all():
+    # the initial segments of an n-letter word hold n(n+1)/2 letters: 998,991 at n = 1413, 1,000,405 at 1414
+    assert len(subwords(Word([(1, 1)] * 1413))) == 1414
+    for n in (1414, 100_000):
+        with pytest.raises(ResourceLimitError, match=f"exceed {MAX_WORD_LETTERS} letters"):
+            subwords(Word([(1, 1)] * n))
+
+
 def test_subwords_are_exactly_the_is_subword_hits():
     rng = Random(41)
     pool = enumerate_reduced_words(3, 2)
@@ -404,6 +413,12 @@ def test_truncate_examples():
     assert truncate(harmonic_stream(), 3) == W("a1 a2 a3")
     assert truncate(reversed_harmonic_stream(), 3) == W("a3 a2 a1")
     assert truncate(reversed_harmonic_stream(), 0) == IDENTITY
+
+
+def test_word_stream_orientation_is_checked_when_it_is_built():
+    assert WordStream(lambda k: (k, 1)).orientation == "forward"
+    with pytest.raises(BigFreeError, match="orientation must be forward or reverse, got 'sideways'"):
+        WordStream(lambda k: (k, 1), "sideways")
 
 
 def test_stream_truncations_are_cauchy():

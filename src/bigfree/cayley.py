@@ -39,11 +39,13 @@ from .tree import (
     position,
 )
 from .words import (
+    MAX_WORD_LETTERS,
     Letter,
     Word,
     format_word,
     letter_name,
     multiply,
+    reduced_word_counts,
 )
 
 class CayleyPoint(EdgePoint):
@@ -165,15 +167,24 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     """All reduced words within max_len letters of the center.
 
     Uses letters of index <= max_letter; the result is a tree rooted at the
-    center.  Raises ResourceLimitError when the vertex count would pass cap.
+    center.  Raises ResourceLimitError when the vertex count would pass cap,
+    or the letters of all vertices would pass MAX_WORD_LETTERS.  Both are
+    counted length by length before any vertex is built, charging each
+    vertex the center's letters plus its distance from the center.
     """
     if not center.reduced:
         raise BigFreeError("ball center must be reduced")
     if max_len < 0 or max_letter < 0:
         raise BigFreeError("ball radius and letter bound must be >= 0")
-    if max_len >= 1 and 1 + 2 * max_letter > cap:
-        raise ResourceLimitError(f"ball would exceed {cap} vertices")
-    # radius 0 uses no letter; otherwise the guard above keeps the alphabet below cap.
+    vertex_count = letter_count = 0
+    for length, count in enumerate(reduced_word_counts(max_len, max_letter)):
+        vertex_count += count
+        letter_count += count * (len(center.letters) + length)
+        if vertex_count > cap:
+            raise ResourceLimitError(f"ball would exceed {cap} vertices")
+        if letter_count > MAX_WORD_LETTERS:
+            raise ResourceLimitError(f"ball would exceed {MAX_WORD_LETTERS} letters in all")
+    # radius 0 uses no letter; otherwise the count above keeps the alphabet below cap.
     # The alphabet is listed in _letter_key order, so each vertex's out-edges are too.
     alphabet = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
     vertices = [center]
@@ -191,9 +202,9 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
                 next_frontier.append((len(vertices), (lt[0], -lt[1])))
                 vertices.append(child)
                 out.append([])
-                if len(vertices) > cap:
-                    raise ResourceLimitError(f"ball would exceed {cap} vertices")
         frontier = next_frontier
+        if not frontier:
+            break  # an empty alphabet: the center is the whole ball
     rank = {lt: r for r, lt in enumerate(sorted({*alphabet, *center.letters}, key=_letter_key))}
     keys = [(len(v.letters), tuple(map(rank.__getitem__, v.letters))) for v in vertices]
     order = sorted(range(len(vertices)), key=keys.__getitem__)

@@ -76,6 +76,7 @@ from .words import (
     parse_letter_token,
     parse_word,
     reduce,
+    reduced_word_counts,
     subwords,
     verify_cancellation,
     word_dist,
@@ -121,12 +122,9 @@ MAX_AXIOM_SAMPLE = 1000  # axioms-check forms every pairwise product, so its cos
 
 
 def _cmd_axioms_check(args) -> int:
-    total = layer = 1  # reduced words counted one length at a time, before any is built
-    for length in range(args.max_len):
-        layer = 2 * args.max_letter if length == 0 else layer * (2 * args.max_letter - 1)
-        if layer <= 0:
-            break
-        total += layer
+    total = 0  # reduced words counted one length at a time, before any is built
+    for count in reduced_word_counts(args.max_len, args.max_letter):
+        total += count
         if total > MAX_AXIOM_SAMPLE:
             raise ResourceLimitError(f"axioms-check sample would exceed {MAX_AXIOM_SAMPLE} elements")
     sample = enumerate_reduced_words(args.max_len, args.max_letter)

@@ -43,6 +43,7 @@ from .tree import (
     word_point,
 )
 from .triples import (
+    CirclePoint,
     EdgeTriple,
     act_triple,
     circle_dist,
@@ -528,8 +529,6 @@ def _check_orbit_projection(rec: _Recorder, rng: Random, samples: int) -> None:
 
 
 def _check_quotient_surjectivity(rec: _Recorder, rng: Random, samples: int) -> None:
-    from .triples import CirclePoint
-
     for index in (1, 2, 3, 4):
         for j in range(1, 6):
             for c in range(1, 11):
@@ -541,8 +540,6 @@ def _check_quotient_surjectivity(rec: _Recorder, rng: Random, samples: int) -> N
 
 
 def _check_circle_metric(rec: _Recorder, rng: Random, samples: int) -> None:
-    from .triples import CirclePoint
-
     for _ in range(samples):
         i = rng.randint(1, 4)
         x = CirclePoint(i, sampling.random_offset_inside(rng, i))

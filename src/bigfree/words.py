@@ -11,7 +11,7 @@ Genuinely infinite words appear only through WordStream truncations.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .ordered_abelian import (
     TOP,
@@ -245,6 +245,18 @@ def subwords(w: Word) -> list:
     return [Word._make(w.letters[:i], True) for i in range(n + 1)]
 
 
+def reduced_word_counts(max_len: int, max_index: int) -> Iterator[int]:
+    """How many reduced words over the first max_index generators have each
+    length 0, 1, ..., max_len, counted without building any; the counts
+    stop at the first length that has none."""
+    count = 1
+    for length in range(max_len + 1):
+        yield count
+        count = 2 * max_index if length == 0 else count * (2 * max_index - 1)
+        if count <= 0:
+            return
+
+
 # -- cancellation calculus ---------------------------------------------------
 
 class Cancellation:
@@ -310,18 +322,40 @@ class InvalidCancellationError(BigFreeError):
 
 
 def verify_cancellation(w: Word, c: Cancellation) -> CancellationCheck:
-    """Check completeness, noncrossing and inverse pairing, pair by pair.
+    """Check completeness, noncrossing and inverse pairing; report the first
+    pair, in the order of ``c.pairs``, that fails one.
 
-    Positions outside the word are an error, not a violation report.  A
-    pair fails the same way from either end, so each span is scanned once,
-    from its lower end, in the order of ``c.pairs``.
+    Positions outside the word are an error, not a violation report.  One
+    pass over the sorted pair ends flags every failing pair but those
+    crossed only by a pair with a smaller lower end, which itself fails
+    first; the first flagged pair is then scanned for its report.
     """
     n = len(w.letters)
     partner = c.partner_map()
     for p in partner:
         if p > n:
             raise BigFreeError(f"position {p} out of range for a word of length {n}")
+    ends = sorted(partner)
+    rank = {p: r for r, p in enumerate(ends)}
+    crossed = set()  # lower ends of pairs crossed by a pair that opens inside them
+    stack = []  # open lower ends; a crossed one stays until the ends above it are gone
+    for p in ends:
+        q = partner[p]
+        if q > p:
+            stack.append(p)
+            continue
+        while stack[-1] in crossed:
+            stack.pop()
+        if stack[-1] == q:
+            stack.pop()
+        else:
+            crossed.add(q)
+    letters = w.letters
     for lo, hi in c.pairs:
+        # the span is complete exactly when all hi - lo + 1 of its positions are ends
+        if (rank[hi] - rank[lo] == hi - lo and lo not in crossed
+                and letters[hi - 1] == inverse_letter(letters[lo - 1])):
+            continue
         span = range(lo, hi + 1)
         for s in span:
             if s not in partner:
@@ -333,10 +367,9 @@ def verify_cancellation(w: Word, c: Cancellation) -> CancellationCheck:
             return CancellationCheck(
                 False, "noncrossing", lo,
                 f"([{lo},{hi}]_T)* = {sorted(mapped)} != {list(span)}")
-        if w.letters[hi - 1] != inverse_letter(w.letters[lo - 1]):
-            return CancellationCheck(
-                False, "inverse-pairing", lo,
-                f"w({hi}) is not the inverse of w({lo})")
+        return CancellationCheck(
+            False, "inverse-pairing", lo,
+            f"w({hi}) is not the inverse of w({lo})")
     return CancellationCheck(True)
 
 
@@ -377,7 +410,7 @@ _TOKEN = re.compile(r"\S+")
 _LETTER_NAME = r"(?:a([1-9][0-9]*)|b)"
 _WORD_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?[0-9]+))?")
 _LETTER_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?1))?")
-MAX_WORD_LETTERS = 1_000_000  # most letters parse_word reads, or subwords and top_edge_instability build in all
+MAX_WORD_LETTERS = 1_000_000  # most letters parse_word reads, or subwords, top_edge_instability and ball_graph build in all
 
 
 def letter_name(idx: AlphabetIndex) -> str:

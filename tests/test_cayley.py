@@ -26,17 +26,11 @@ from bigfree.cayley import (
 from bigfree.ordered_abelian import OMEGA, OMEGA_PLUS_ONE, TOP, BigFreeError, LexVector, ZERO
 from bigfree.sampling import random_cayley_point, random_reduced_word
 from bigfree.words import (
-    IDENTITY, Word, double_gromov, format_word, inverse, length_vector, letter_name, multiply, parse_word,
-    word_dist,
+    IDENTITY, MAX_WORD_LETTERS, Word, double_gromov, format_word, inverse, length_vector, letter_name,
+    multiply, parse_word, word_dist,
 )
 
-
-def W(text):
-    return parse_word(text)
-
-
-def vec(*coords, top=0):
-    return LexVector.from_coords(coords, top=top)
+from helpers import W, vec
 
 
 @pytest.mark.parametrize("t", ["0", "1/2", "1"])
@@ -76,43 +70,6 @@ def test_cayley_act_examples():
     assert cayley_act(W("a2"), y) == cayley_point(W("a2"), 1, 1, Fraction(1, 3))
 
 
-def test_cayley_metric_axioms_sampled():
-    rng = Random(163)
-    for _ in range(400):
-        x = random_cayley_point(rng, 8, 4)
-        y = random_cayley_point(rng, 8, 4)
-        z = random_cayley_point(rng, 8, 4)
-        assert cayley_dist(x, y) == cayley_dist(y, x)
-        assert cayley_dist(x, x) == ZERO
-        assert cayley_dist(x, y) >= ZERO
-        if x != y:
-            assert cayley_dist(x, y) > ZERO
-        assert cayley_dist(x, z) <= cayley_dist(x, y) + cayley_dist(y, z)
-
-
-def test_cayley_action_is_isometric_with_group_laws():
-    rng = Random(167)
-    for _ in range(300):
-        u = random_reduced_word(rng, 8, 4)
-        v = random_reduced_word(rng, 8, 4)
-        x = random_cayley_point(rng, 8, 4)
-        y = random_cayley_point(rng, 8, 4)
-        assert cayley_dist(cayley_act(u, x), cayley_act(u, y)) == cayley_dist(x, y)
-        assert cayley_act(u, cayley_act(v, x)) == cayley_act(multiply(u, v), x)
-
-
-def test_cayley_zero_hyperbolic_at_the_identity():
-    rng = Random(173)
-    for _ in range(400):
-        pts = [random_cayley_point(rng, 8, 4) for _ in range(3)]
-        pos = [position(p) for p in pts]
-        prods = [pos[0] + pos[1] - cayley_dist(pts[0], pts[1]),
-                 pos[0] + pos[2] - cayley_dist(pts[0], pts[2]),
-                 pos[1] + pos[2] - cayley_dist(pts[1], pts[2])]
-        lo = min(prods)
-        assert prods.count(lo) >= 2
-
-
 def test_special_case_formulas_under_their_guards():
     rng = Random(179)
     checked_far = checked_near = flagged = 0
@@ -150,14 +107,6 @@ def test_embed_compare_examples():
     assert (Fraction(1), vec(1)) in report.matches
     report = embed_compare(W("a2"), 1, t_grid=[Fraction(1, 2)])
     assert report.matches == ()
-
-
-def test_embed_compare_interior_never_matches():
-    rng = Random(181)
-    for _ in range(100):
-        w = random_reduced_word(rng, 8, 4)
-        index = rng.randint(1, 4)
-        assert embed_compare(w, index).endpoints_only()
 
 
 # -- finite balls ---------------------------------------------------------------------
@@ -219,6 +168,17 @@ def test_ball_cap_fires_before_the_alphabet_is_built():
     assert peak < 1_000_000, f"peak {peak} bytes"
 
 
+def test_ball_letters_are_capped_before_any_vertex_is_built():
+    # one generator: the vertices within radius r hold r(r + 1) letters, 999,000 at r = 999
+    assert len(ball_graph(IDENTITY, 999, 1).vertices) == 1999
+    with pytest.raises(ResourceLimitError, match=f"ball would exceed {MAX_WORD_LETTERS} letters in all"):
+        ball_graph(IDENTITY, 1000, 1)
+    # each vertex is charged the center's letters too: 3n + 2 letters at radius 1
+    assert len(ball_graph(W("a2^333332"), 1, 1).vertices) == 3
+    with pytest.raises(ResourceLimitError, match=f"ball would exceed {MAX_WORD_LETTERS} letters in all"):
+        ball_graph(W("a2^333333"), 1, 1)
+
+
 def test_ball_dot_output_is_deterministic_and_well_formed():
     graph = ball_graph(IDENTITY, 1, 2)
     dot = ball_dot(graph)
@@ -239,7 +199,6 @@ def test_ball_json_schema():
     assert len(payload["edges"]) == len(payload["vertices"]) - 1
     for edge in payload["edges"]:
         assert set(edge) == {"from", "to", "label"}
-
 
 
 def test_ball_exports_name_each_child_by_the_product_even_toward_the_identity():

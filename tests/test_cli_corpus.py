@@ -106,6 +106,8 @@ _ANSWERED = [
 
 # commands without --json, and the exit-1 messages
 _OTHER = [
+    ["ball", "1", "3", "--dot"],
+    ["ball", "1", "3", "--json"],
     ["ball", "2", "3", "--dot"],
     ["ball", "2", "3", "--json"],
     ["ball", "0", "3", "--dot"],
@@ -116,7 +118,13 @@ _OTHER = [
     ["ball", "3", "2", "--cap", "20", "--json"],
     ["ball", "1", "3", "--center", "a1 a1^-1", "--dot"],
     ["ball", "-1", "3", "--dot"],
+    # counted before any vertex is built: an empty alphabet stops at the center, and the
+    # letters of all vertices are capped (2,499,950,000 at radius 49999 on one generator)
+    ["ball", "1000000000000", "0", "--dot"],
+    ["ball", "49999", "1", "--dot"],
+    ["ball", "40", "3", "--cap", "1000000000", "--dot"],
     ["suite", "--samples", "3", "--seed", "9"],
+    ["suite", "--samples", "5", "--seed", "1"],
     ["suite", "--samples", "-5"],
     ["reduce", "b b^-1"],
     ["reduce", "a1 q"],
@@ -172,8 +180,11 @@ _OTHER = [
     ["ball-metric", "", "[-1]", "a1"],
     ["ball-metric", "", "[x]", "a1"],
     ["ball-metric", "", "[1/0]", "a1"],
+    ["axioms-check", "--max-len", "3", "--max-letter", "3"],
     ["axioms-check", "--max-len", "5", "--max-letter", "3"],
+    ["axioms-check", "--max-len", "1000000", "--max-letter", "3"],
     ["axioms-check", "--max-len", "1000000000000", "--max-letter", "1"],
+    ["axioms-check", "--max-len", "1000000000000", "--max-letter", "0"],
     ["demo", "omega-plus-one", "--depth", "-1"],
     # outputs quadratic in their size: 998,991 letters in all at 1413, 1,000,405 at 1414
     ["subwords", "a1^1413"],

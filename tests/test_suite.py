@@ -1,6 +1,7 @@
-"""The property suite builds failure messages only for checks that fail,
-reports a property that raises instead of ending the run, and runs one
-registry entry on a caller's generator."""
+"""The property suite: each registry law passes at 50 samples and builds
+failure messages only for checks that fail; a property that raises is
+reported instead of ending the run; one registry entry runs on a caller's
+generator."""
 
 from random import Random
 
@@ -13,16 +14,18 @@ from bigfree.ordered_abelian import LexVector, ZERO, half_exact
 from bigfree.words import Word, format_word, inverse, length_vector, multiply
 
 
-def test_a_passing_run_formats_no_word_or_vector(monkeypatch):
+@pytest.mark.parametrize("entry", suite.PROPERTIES, ids=lambda entry: f"{entry[0]}/{entry[1]}")
+def test_a_passing_run_formats_no_word_or_vector(monkeypatch, entry):
+    """Each registry law passes on the draws ``run_all(50)`` gives it."""
     def refuse(*args):
         raise AssertionError("a passing check built its failure message")
 
     monkeypatch.setattr(suite, "format_word", refuse)
     monkeypatch.setattr(tree, "format_word", refuse)
     monkeypatch.setattr(LexVector, "__str__", refuse)
-    results = suite.run_all(samples=50)
-    assert len(results) == len(suite.PROPERTIES)
-    assert all(r.ok for r in results), [r.failures for r in results if not r.ok]
+    module, name, _ = entry
+    result = suite.run_property(entry, Random(f"0:{module}:{name}"), 50)
+    assert result.ok, result.failures
 
 
 def _gromov_mismatches(seed: int, samples: int):

@@ -7,15 +7,9 @@ import pytest
 from bigfree.ordered_abelian import BigFreeError, LexVector, TOP, ZERO
 from bigfree.sampling import enumerate_reduced_words, random_reduced_word
 from bigfree.topology import difference_word, in_letter_ball, in_metric_ball, uses_only_letters_above
-from bigfree.words import harmonic_stream, length_vector, parse_word, truncate, word_dist
+from bigfree.words import length_vector, word_dist
 
-
-def W(text):
-    return parse_word(text)
-
-
-def vec(*coords, top=0):
-    return LexVector.from_coords(coords, top=top)
+from helpers import W, vec
 
 
 def test_letter_ball_examples():
@@ -90,12 +84,3 @@ def test_difference_word_drives_both_predicates():
             assert word_dist(w, v) == length_vector(u)
             for a in (1, 2, 3, TOP):
                 assert in_letter_ball(w, a, v) == uses_only_letters_above(u, a), (w, v, a)
-
-
-def test_harmonic_truncations_converge_in_letter_balls():
-    s = harmonic_stream()
-    for a in range(1, 7):
-        for j in range(a + 1, a + 6):
-            for k in range(a + 1, a + 6):
-                u = difference_word(truncate(s, j), truncate(s, k))
-                assert uses_only_letters_above(u, a)

@@ -21,7 +21,6 @@ from bigfree.triples import (
     format_circle_point,
     format_triple,
     from_triple,
-    orbit_witness,
     parse_circle_point,
     parse_triple,
     project,
@@ -31,15 +30,9 @@ from bigfree.triples import (
     triple_dist,
     triple_dist_report,
 )
-from bigfree.words import IDENTITY, Word, length_vector, multiply, parse_word, subwords
+from bigfree.words import IDENTITY, Word, length_vector, multiply, subwords
 
-
-def W(text):
-    return parse_word(text)
-
-
-def vec(*coords, top=0):
-    return LexVector.from_coords(coords, top=top)
+from helpers import W, vec
 
 
 def oracle_canonical_forms(p: TreePoint):
@@ -150,22 +143,6 @@ def test_from_triple_examples():
         EdgeTriple(W("a1^-1"), 1, 1, vec(0, 1))  # base ends in the inverse letter
 
 
-def test_round_trips():
-    rng = Random(109)
-    for _ in range(500):
-        p = random_tree_point(rng, 8, 4)
-        assert point_eq(from_triple(to_triple(p)), p)
-        e = random_edge_triple(rng, 8, 4)
-        assert to_triple(from_triple(e)) == e
-
-
-def test_edge_interiors_contain_no_words():
-    rng = Random(113)
-    for _ in range(300):
-        e = random_edge_triple(rng, 8, 4)
-        assert isinstance(to_triple(from_triple(e)), EdgeTriple)
-
-
 def test_act_triple_examples():
     e = EdgeTriple(W("a2"), 1, 1, vec(1, -2))
     assert act_triple(IDENTITY, e) == e
@@ -246,38 +223,12 @@ def test_project_examples():
     assert project(act_triple(W("a1"), e)) == project(e) == CirclePoint(1, vec(1, -1))
 
 
-def test_project_constant_on_orbits_with_witnesses():
-    rng = Random(139)
-    for _ in range(400):
-        e = random_edge_triple(rng, 8, 4)
-        u = random_reduced_word(rng, 8, 4)
-        moved = act_triple(u, e)
-        assert project(moved) == project(e)
-        witness = orbit_witness(e, moved)
-        assert witness is not None
-        assert act_triple(witness, e) == moved
-        other = random_edge_triple(rng, 8, 4)
-        if project(other) == project(e):
-            w2 = orbit_witness(e, other)
-            assert w2 is not None and act_triple(w2, e) == other
-        else:
-            assert orbit_witness(e, other) is None
-
-
 def test_words_all_project_to_the_wedge():
     rng = Random(149)
     for _ in range(100):
         w = random_reduced_word(rng, 8, 4)
         assert project(w).is_wedge()
         assert project(w) == project(IDENTITY)
-
-
-def test_quotient_surjective_on_grid():
-    for index in (1, 2, 3):
-        for j in (1, 2, 3):
-            for c in (1, 2, 5):
-                s = LexVector.unit(index + j, c)
-                assert project(EdgeTriple(IDENTITY, index, 1, s)) == CirclePoint(index, s)
 
 
 def test_circle_dist_examples():

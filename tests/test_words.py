@@ -14,7 +14,6 @@ from bigfree.ordered_abelian import (
     OMEGA,
     OMEGA_PLUS_ONE,
     BigFreeError,
-    LexVector,
     ParseError,
     ResourceLimitError,
     TOP,
@@ -47,13 +46,7 @@ from bigfree.words import (
     word_dist,
 )
 
-
-def W(text):
-    return parse_word(text)
-
-
-def vec(*coords, top=0):
-    return LexVector.from_coords(coords, top=top)
+from helpers import W, vec
 
 
 def oracle_reduce(w: Word, rng: Random = None) -> Word:
@@ -342,17 +335,6 @@ def test_common_prefix_examples():
     assert common_prefix(W("a1"), W("a2")) == IDENTITY
     with pytest.raises(BigFreeError):
         common_prefix(W("a1 a1^-1"), W("a1"))
-
-
-def test_zero_hyperbolicity_sampled():
-    rng = Random(37)
-    for _ in range(1000):
-        words = [random_reduced_word(rng, 20, 5) for _ in range(3)]
-        products = [gromov(words[0], words[1]),
-                    gromov(words[0], words[2]),
-                    gromov(words[1], words[2])]
-        lo = min(products)
-        assert products.count(lo) >= 2
 
 
 # -- subwords --------------------------------------------------------------------------

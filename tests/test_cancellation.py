@@ -130,16 +130,45 @@ def test_verify_matches_oracle_on_random_pairings():
     assert reasons == {None, "complete", "noncrossing", "inverse-pairing"}
 
 
-def test_verify_is_not_quadratic_in_the_pairing():
-    # a1 ... am am^-1 ... a1^-1, each letter paired with its mirror image; at m = 20,000
-    # the nested spans hold 400,020,000 positions in all, too many to scan span by span
-    m = 20_000
+def _nesting(m, fault=None):
+    """a1 ... am am^-1 ... a1^-1 paired mirror-wise, with one fault at the innermost pairs."""
     letters = [(k, 1) for k in range(1, m + 1)] + [(k, -1) for k in range(m, 0, -1)]
-    c = Cancellation([(i, 2 * m + 1 - i) for i in range(1, m + 1)])
-    assert verify_cancellation(Word(letters), c) == CancellationCheck(True)
-    letters[m] = (m, 1)  # the innermost pair, m-(m+1), is no longer inverse
-    assert verify_cancellation(Word(letters), c) == CancellationCheck(
+    pairs = [(i, 2 * m + 1 - i) for i in range(1, m + 1)]
+    if fault == "crossing":  # the two innermost pairs swap partners
+        pairs[-2:] = [(m - 1, m + 1), (m, m + 2)]
+    elif fault == "incomplete":  # the innermost pair is dropped
+        pairs.pop()
+    elif fault == "inverse":  # the innermost pair is no longer inverse
+        letters[m] = (m, 1)
+    return Word(letters), Cancellation(pairs)
+
+
+def test_verify_is_not_quadratic_in_the_pairing():
+    # at m = 20,000 the nested spans hold 400,020,000 positions in all, too many to scan span by span
+    m = 20_000
+    assert verify_cancellation(*_nesting(m)) == CancellationCheck(True)
+    assert verify_cancellation(*_nesting(m, "inverse")) == CancellationCheck(
         False, "inverse-pairing", m, f"w({m + 1}) is not the inverse of w({m})")
+
+
+@pytest.mark.parametrize("fault, reason", [
+    (None, None), ("crossing", "noncrossing"), ("incomplete", "complete"), ("inverse", "inverse-pairing"),
+])
+def test_verify_matches_oracle_on_a_deep_nesting(fault, reason):
+    w, c = _nesting(60, fault)
+    check = verify_cancellation(w, c)
+    assert check == oracle_verify(w, c)
+    assert check.reason == reason
+
+
+@pytest.mark.parametrize("fault, expected", [
+    ("crossing", CancellationCheck(
+        False, "noncrossing", 19_999, "([19999,20001]_T)* = [19999, 20001, 20002] != [19999, 20000, 20001]")),
+    ("incomplete", CancellationCheck(False, "complete", 1, "position 20000 in [1,40000] is unpaired")),
+])
+def test_verify_reports_a_fault_deep_in_a_long_nesting(fault, expected):
+    """The screen finds a crossing or a gap among 20,000 nested pairs without scanning every span."""
+    assert verify_cancellation(*_nesting(20_000, fault)) == expected
 
 
 def test_apply_examples():

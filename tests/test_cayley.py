@@ -124,8 +124,6 @@ def oracle_ball_vertices(center, max_len, max_letter):
                     continue
                 new_tails.append(tail + (lt,))
         for tail in new_tails:
-            from bigfree.words import Word
-
             seen.add(multiply(center, Word(tail)))
         tails = new_tails
     return seen
@@ -140,12 +138,12 @@ def test_ball_counts():
     assert len(two.vertices) == 37 and len(two.edges) == 36
 
 
-def test_ball_matches_enumeration_oracle():
-    for center_text, max_len, max_letter in (("", 2, 2), ("a1 a2", 2, 2), ("a2^-1 a1", 1, 3)):
-        center = W(center_text)
-        graph = ball_graph(center, max_len, max_letter)
-        assert set(graph.vertices) == oracle_ball_vertices(center, max_len, max_letter)
-        assert len(graph.edges) == len(graph.vertices) - 1
+@pytest.mark.parametrize("center_text, max_len, max_letter", [("", 2, 2), ("a1 a2", 2, 2), ("a2^-1 a1", 1, 3)])
+def test_ball_matches_enumeration_oracle(center_text, max_len, max_letter):
+    center = W(center_text)
+    graph = ball_graph(center, max_len, max_letter)
+    assert set(graph.vertices) == oracle_ball_vertices(center, max_len, max_letter)
+    assert len(graph.edges) == len(graph.vertices) - 1
 
 
 def test_ball_cap_guard():

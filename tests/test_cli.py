@@ -67,28 +67,30 @@ def test_importing_the_cli_does_not_import_numpy():
 _README_EXAMPLE = re.compile(r"bigfree (.*?)\s+# (.*)")
 
 
-def test_readme_examples_print_their_documented_output(capsys):
-    """Every README example with a trailing ``# output`` comment prints that output.
+def _readme_examples():
+    """Each README example with a trailing ``# output`` comment, as (command, output).
 
     An example that redirects its output to a file (``>``) documents the
-    file, so its comment is a description and is not compared.
+    file, so its comment is a description and is not listed.
     """
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
         examples = [m.groups() for m in map(_README_EXAMPLE.fullmatch, fh.read().splitlines()) if m]
-    checked = 0
-    for command, output in examples:
-        argv = shlex.split(command)
-        if ">" in argv:
-            continue
-        assert run(capsys, *argv) == (0, output + "\n", ""), command
-        checked += 1
-    assert checked == 9
+    return [(command, output) for command, output in examples if ">" not in shlex.split(command)]
 
 
-def test_output_is_deterministic(capsys):
-    first = run(capsys, "ball", "2", "2", "--dot")
-    second = run(capsys, "ball", "2", "2", "--dot")
-    assert first == second
-    s1 = run(capsys, "suite", "--samples", "3", "--seed", "9")
-    s2 = run(capsys, "suite", "--samples", "3", "--seed", "9")
-    assert s1 == s2
+README_EXAMPLES = _readme_examples()
+
+
+def test_the_readme_documents_nine_checked_examples():
+    assert len(README_EXAMPLES) == 9
+
+
+@pytest.mark.parametrize("command, output", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES])
+def test_readme_examples_print_their_documented_output(capsys, command, output):
+    assert run(capsys, *shlex.split(command)) == (0, output + "\n", "")
+
+
+@pytest.mark.parametrize("argv", [["ball", "2", "2", "--dot"], ["suite", "--samples", "3", "--seed", "9"]],
+                         ids=" ".join)
+def test_output_is_deterministic(capsys, argv):
+    assert run(capsys, *argv) == run(capsys, *argv)

@@ -5,6 +5,8 @@ in caller-chosen order; the library's stack pass must agree with every
 deletion order.
 """
 
+from collections import Counter
+from itertools import islice
 from random import Random
 
 import pytest
@@ -40,6 +42,7 @@ from bigfree.words import (
     multiply,
     parse_word,
     reduce,
+    reduced_word_counts,
     reversed_harmonic_stream,
     subwords,
     truncate,
@@ -370,6 +373,19 @@ def test_subwords_are_exactly_the_is_subword_hits():
         members = set(subwords(w))
         for v in pool:
             assert is_subword(v, w) == (v in members)
+
+
+@pytest.mark.parametrize("max_index", [0, 1, 2, 3])
+@pytest.mark.parametrize("max_len", [0, 1, 2, 4])
+def test_reduced_word_counts_match_the_enumeration(max_len, max_index):
+    lengths = Counter(len(w) for w in enumerate_reduced_words(max_len, max_index))
+    assert list(reduced_word_counts(max_len, max_index)) == [lengths[n] for n in range(max_len + 1) if lengths[n]]
+
+
+def test_reduced_word_counts_follow_the_closed_form_without_building_words():
+    # 2k (2k - 1)^(n - 1) reduced words of length n >= 1 over k generators
+    assert list(islice(reduced_word_counts(10**12, 3), 40)) == [1] + [6 * 5 ** (n - 1) for n in range(1, 40)]
+    assert list(reduced_word_counts(10**12, 0)) == [1]  # no generator: the identity alone, at once
 
 
 @st.composite

@@ -27,6 +27,7 @@ from .ordered_abelian import (
     ParseError,
     ResourceLimitError,
     ZERO,
+    _norm_coord,
     check_index,
 )
 from .tree import (
@@ -48,12 +49,18 @@ from .words import (
     reduced_word_counts,
 )
 
+
+def _rational_offset(t) -> Fraction:
+    """t as a Fraction: only an int or a Fraction is exact, so a float, bool or str is refused."""
+    return t if type(t) is Fraction else Fraction(_norm_coord(t))
+
+
 class CayleyPoint(EdgePoint):
     """Graph edge point: rational offset t with 0 < t < 1; vertices are bare Words."""
 
     __slots__ = ()
     _span = staticmethod(lambda index: 1)
-    _coerce = staticmethod(Fraction)
+    _coerce = staticmethod(_rational_offset)
     _vector = staticmethod(LexVector.unit)  # t L(a) is the unit vector at a, scaled to t
 
 
@@ -64,7 +71,7 @@ def cayley_point(w: Word, index: AlphabetIndex, sign: int, t) -> GraphPoint:
     """Build a point, collapsing the endpoints t = 0 and t = 1 to vertices."""
     if not w.reduced:
         raise BigFreeError("edge base word must be reduced")
-    t = Fraction(t)
+    t = _rational_offset(t)
     if t == 0:
         return w
     if t == 1:

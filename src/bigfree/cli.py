@@ -213,7 +213,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    from .suite import format_results, run_all  # numpy is imported only when the suite runs
+    from .suite import format_results, run_all  # imported here only to keep `import bigfree.cli` light
 
     results = run_all(samples=args.samples, seed=args.seed)
     sys.stdout.write(format_results(results))

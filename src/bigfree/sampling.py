@@ -89,12 +89,10 @@ def random_cancellation(rng: Random, w: Word) -> Optional[Cancellation]:
     return Cancellation(pairs)
 
 
-def random_offset_inside(rng: Random, index: int, spread: int = 4) -> LexVector:
+def random_offset_inside(rng: Random, index: int) -> LexVector:
     """A vector strictly between 0 and the unit at index."""
-    if spread < 1:
-        raise ValueError(f"empty range: spread={spread}")
     below = rng._randbelow
-    j = index + 1 + below(spread)
+    j = index + 1 + below(4)
     c = 1 + below(5)
     if rng.random() < 0.5:
         return LexVector.unit(j, c)

@@ -8,9 +8,10 @@ entries through ``run_property`` under their own seeds.
 Failure messages that format values are passed as zero-argument callables
 and built only when a check fails, so passing checks format no words or
 vectors.
-Exhaustive small-word sweeps encode exact vector values into
-order-preserving integer keys and sweep the triple quantifiers with numpy;
-everything asserted is an exact integer/rational identity.
+The exhaustive small-word laws are decided exactly: transitivity by
+Python-int bitsets, 0-hyperbolicity and the triangle inequality by the
+quadratic certificate ``tree.ultrametric_violation``.  The package needs
+only the standard library.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from random import Random
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from . import sampling
 from .cayley import (
@@ -40,6 +39,7 @@ from .tree import (
     point_eq,
     tree_act,
     tree_dist,
+    ultrametric_violation,
     word_point,
 )
 from .triples import (
@@ -112,84 +112,6 @@ class _Recorder:
             self.failures.append("... more failures suppressed")
 
 
-# -- exact exhaustive machinery -------------------------------------------------
-
-_KEY_BASE = 64
-_SWEEP_BLOCK = 8  # rows per numpy block of the exhaustive sweeps, bounding their block x n x n temporaries
-
-
-def encode_vector(vec: LexVector, max_index: int) -> int:
-    """Order-preserving, addition-preserving integer key.
-
-    Requires integer coordinates in [0, 31] supported on 1..max_index so
-    that sums of two keys never carry between digits.
-    """
-    key = 0
-    for idx, v in vec.entries:
-        if not (isinstance(idx, int) and 1 <= idx <= max_index and 0 <= v < _KEY_BASE // 2):
-            raise ValueError(f"vector {vec} not encodable over 1..{max_index}")
-        key += v * _KEY_BASE ** (max_index - idx)
-    return key
-
-
-def pair_tables(words: Sequence[Word], max_index: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Distance and doubled-Gromov-product keys for every ordered pair."""
-    n = len(words)
-    lengths = [length_vector(w) for w in words]
-    inverses = [inverse(w) for w in words]
-    dist = np.zeros((n, n), dtype=np.int64)
-    two_c = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        gi_inv, li = inverses[i], lengths[i]
-        for j in range(i, n):
-            diff_len = length_vector(multiply(gi_inv, words[j]))
-            dk = encode_vector(diff_len, max_index)
-            ck = encode_vector(li + lengths[j] - diff_len, max_index)
-            dist[i, j] = dist[j, i] = dk
-            two_c[i, j] = two_c[j, i] = ck
-    return dist, two_c
-
-
-def _downcast(matrix: np.ndarray) -> np.ndarray:
-    if matrix.size and matrix.max() < 2**30:
-        return matrix.astype(np.int32)
-    return matrix
-
-
-def exhaustive_two_smallest_violations(two_c: np.ndarray) -> int:
-    """Ordered triples where the two smallest pairwise products differ.
-
-    That is, the least of x, y, z is unique: z < min(x, y), or
-    min(x, y) < z with x != y.  Only the order of the keys matters, so the
-    keys are replaced by their ranks in the smallest unsigned type.
-    """
-    keys, ranks = np.unique(two_c, return_inverse=True)
-    two_c = ranks.reshape(two_c.shape).astype(np.min_scalar_type(max(len(keys) - 1, 0)))
-    n = two_c.shape[0]
-    violations = 0
-    for start in range(0, n, _SWEEP_BLOCK):
-        stop = min(start + _SWEEP_BLOCK, n)
-        x = two_c[start:stop, :, None]   # (b, j) against k
-        y = two_c[start:stop, None, :]   # (b, k) against j
-        z = two_c[None, :, :]            # (j, k)
-        lo = np.minimum(x, y)
-        violations += int(np.count_nonzero(z < lo)) + int(np.count_nonzero((lo < z) & (x != y)))
-    return violations
-
-
-def exhaustive_triangle_violations(dist: np.ndarray) -> int:
-    """Ordered triples violating d(i,k) <= d(i,j) + d(j,k) (keys are additive)."""
-    dist = _downcast(dist)
-    n = dist.shape[0]
-    violations = 0
-    for start in range(0, n, _SWEEP_BLOCK):
-        stop = min(start + _SWEEP_BLOCK, n)
-        left = dist[start:stop, None, :]         # d(i,k)
-        right = dist[start:stop, :, None] + dist[None, :, :]  # d(i,j) + d(j,k)
-        violations += int(np.count_nonzero(left > right))
-    return violations
-
-
 def two_smallest_equal(a: LexVector, b: LexVector, c: LexVector) -> bool:
     lo = min(a, b, c)
     return (a == lo) + (b == lo) + (c == lo) >= 2
@@ -217,13 +139,16 @@ def _check_order_reference(rec: _Recorder, rng: Random, samples: int) -> None:
 def _check_order_transitivity(rec: _Recorder, rng: Random, samples: int) -> None:
     vectors = sampling.enumerate_small_vectors((1, 2, 3), bound=2)
     n = len(vectors)
-    le = np.zeros((n, n), dtype=bool)
-    for i, va in enumerate(vectors):
-        for j, vb in enumerate(vectors):
-            le[i, j] = va.compare(vb) <= 0
+    # row i is the bitset of the j with vectors[i] <= vectors[j]
+    rows = [sum(1 << j for j, vb in enumerate(vectors) if va.compare(vb) <= 0) for va in vectors]
     rec.count(n * n)
-    reach = le.astype(np.int16) @ le.astype(np.int16) > 0
-    bad = int(np.count_nonzero(reach & ~le))
+    bad = 0
+    for row in rows:
+        reach = 0
+        for j, above in enumerate(rows):
+            if row >> j & 1:
+                reach |= above
+        bad += (reach & ~row).bit_count()
     rec.expect(bad == 0, lambda: f"{bad} transitivity violations over the enumeration")
     for _ in range(samples):
         x = sampling.random_small_vector(rng, 5, 6)
@@ -327,17 +252,29 @@ def _check_word_metric_random(rec: _Recorder, rng: Random, samples: int) -> None
 
 
 def _check_word_metric_exhaustive(rec: _Recorder, rng: Random, samples: int) -> None:
+    # With a zero diagonal, 2c(j, j) = 2L(j); the ultrametric law on 2c then gives
+    # c(j, k) <= L(j) and, for c(i, j) <= c(j, k), c(i, k) >= c(i, j), which together
+    # are d(i, k) <= d(i, j) + d(j, k).  So the certificate also decides the triangle law.
     words = sampling.enumerate_reduced_words(3, 3)
-    dist, two_c = pair_tables(words, 3)
-    rec.count(len(words) ** 2)
-    rec.expect(int(np.count_nonzero((dist == 0) != np.eye(len(words), dtype=bool))) == 0,
-               "definiteness fails on the enumeration")
-    bad = exhaustive_triangle_violations(dist)
-    rec.count(len(words) ** 3)
-    rec.expect(bad == 0, lambda: f"{bad} exhaustive triangle violations")
-    bad_hyp = exhaustive_two_smallest_violations(two_c)
-    rec.count(len(words) ** 3)
-    rec.expect(bad_hyp == 0, lambda: f"{bad_hyp} exhaustive zero-hyperbolicity violations")
+    n = len(words)
+    lengths = [length_vector(w) for w in words]
+    two_c = [[ZERO] * n for _ in range(n)]
+    definite = True
+    for i, w in enumerate(words):
+        w_inv, li = inverse(w), lengths[i]
+        for j in range(i, n):
+            d = length_vector(multiply(w_inv, words[j]))
+            definite = definite and d.is_zero() == (i == j)
+            two_c[i][j] = two_c[j][i] = li + lengths[j] - d
+    rec.count(n * n)
+    rec.expect(definite, "definiteness fails on the enumeration")
+    witness = ultrametric_violation(two_c)
+    rec.count(n ** 3)
+    rec.expect(definite and witness is None,
+               "the triangle inequality is not certified on the enumeration")
+    rec.count(n ** 3)
+    rec.expect(witness is None, lambda: "0-hyperbolicity fails at " + ", ".join(
+        repr(format_word(words[x])) for x in witness))
 
 
 def _check_zero_hyperbolic_random(rec: _Recorder, rng: Random, samples: int) -> None:

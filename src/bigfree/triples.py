@@ -55,12 +55,18 @@ from .words import (
 )
 
 
+def _lattice_offset(t) -> LexVector:
+    if not isinstance(t, LexVector):
+        raise BigFreeError(f"edge offset must be a LexVector, got {type(t).__name__}")
+    return t
+
+
 class EdgeTriple(EdgePoint):
     """Tree edge point: lattice offset t with [] < t < L(a)."""
 
     __slots__ = ()
     _span = staticmethod(LexVector.unit)
-    _coerce = staticmethod(lambda t: t)
+    _coerce = staticmethod(_lattice_offset)
     _vector = staticmethod(lambda index, t: t)
 
 

@@ -22,8 +22,10 @@ import time
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 
+import sweeps
 from bigfree import suite
 from bigfree.cayley import embed_compare
 from bigfree.ordered_abelian import LexVector, ZERO
@@ -60,7 +62,7 @@ def small_word_tables():
     """Pair keys over the 937 reduced words of length <= 4 on 3 generators (criteria 2, 3)."""
     words = enumerate_reduced_words(4, 3)
     assert len(words) == 937
-    return suite.pair_tables(words, 3)
+    return sweeps.pair_tables(words, 3)
 
 
 def test_criterion_01_unique_reduced_form():
@@ -79,7 +81,7 @@ def test_criterion_01_unique_reduced_form():
 def test_criterion_02_zero_hyperbolicity(small_word_tables):
     run_checks(Random("acceptance-2"), SAMPLES, "words/zero-hyperbolicity-random")
     _, two_c = small_word_tables
-    bad = suite.exhaustive_two_smallest_violations(two_c)
+    bad = sweeps.exhaustive_two_smallest_violations(two_c)
     assert bad == 0, f"{bad} exhaustive violations"
     assert ultrametric_violation(two_c.tolist()) is None  # the quadratic certificate agrees with the sweep
     report(2, f"{SAMPLES} random triples and all {len(two_c)}^3 small-word triples 0-hyperbolic")
@@ -104,8 +106,14 @@ def _circle_metric(rec, rng, samples):
 def test_criterion_03_metric_axioms(small_word_tables):
     run_checks(Random("acceptance-3"), SAMPLES, "words/metric-axioms-random", _tree_metric,
                "cayley/metric-axioms", _circle_metric)
-    dist, _ = small_word_tables
-    assert suite.exhaustive_triangle_violations(dist) == 0
+    dist, two_c = small_word_tables
+    assert sweeps.exhaustive_triangle_violations(dist) == 0
+    # the certificate proves the same law: the table is 2c = L_i + L_j - d with a zero
+    # diagonal only (words[0] is the identity, so L_i = d(0, i))
+    lengths = dist[0]
+    assert ((dist == 0) == np.eye(len(dist), dtype=bool)).all()
+    assert (two_c == lengths[:, None] + lengths[None, :] - dist).all()
+    assert ultrametric_violation(two_c.tolist()) is None
     report(3, f"word/tree/graph/circle metrics pass symmetry, definiteness and the exact "
               f"triangle inequality on {SAMPLES} samples each")
 

@@ -56,12 +56,33 @@ def test_internal_errors_exit_three_with_one_line(capsys, monkeypatch):
     assert err == "internal error: ZeroDivisionError: integer division or modulo by zero\n"
 
 
-def test_importing_the_cli_does_not_import_numpy():
+def python(*args, timeout=60):
+    """A fresh interpreter with this checkout's ``src`` first on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, bigfree.cli; print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_importing_the_cli_does_not_import_numpy():
+    proc = python("-c", "import sys, bigfree.cli; "
+                  "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_the_package_imports_only_the_standard_library():
+    # -S: no site-packages, whose .pth files may import modules of their own
+    proc = python("-S", "-c", "import sys, bigfree, bigfree.cli, bigfree.suite; "
+                  "known = {*sys.stdlib_module_names, 'bigfree', '__main__'}; "
+                  "print(sorted(m for m in sys.modules if m.partition('.')[0] not in known))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_the_suite_runs_with_numpy_blocked():
+    # sys.modules["numpy"] = None makes any `import numpy` raise ImportError
+    proc = python("-c", "import sys; sys.modules['numpy'] = None; from bigfree import cli; "
+                  "sys.exit(cli.main(['suite', '--samples', '20']))", timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("total: 38 properties, 0 failed\n")
 
 
 _README_EXAMPLE = re.compile(r"bigfree (.*?)\s+# (.*)")

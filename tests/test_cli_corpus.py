@@ -5,6 +5,9 @@ holds its exit code, stdout and stderr; a case must reproduce all three
 byte for byte.  Usage errors (exit 2) compare only the code, because
 argparse words its usage text differently across Python versions.
 
+Each case runs under a ``CASE_SECONDS`` real-time alarm, so a case that
+loops fails alone instead of hanging the run.
+
 Regenerate the golden file after a deliberate output change with
 ``PYTHONPATH=src python tests/test_cli_corpus.py`` and review the diff.
 """
@@ -13,12 +16,15 @@ import contextlib
 import io
 import json
 import os
+import signal
 
 import pytest
 
+from bigfree import cli
 from bigfree.cli import COMMANDS, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli_corpus.json")
+CASE_SECONDS = 10  # the slowest case takes about 0.5 s on a 2-core host
 
 # answered queries: each runs as text and again with --json
 _ANSWERED = [
@@ -208,14 +214,27 @@ _OTHER = [
 CASES = [argv for base in _ANSWERED for argv in (base, [*base, "--json"])] + _OTHER
 
 
+class CaseTimeout(BaseException):
+    """A case ran past ``CASE_SECONDS``; not an ``Exception``, so ``cli.main`` cannot report it as exit 3."""
+
+
+def _expire(signum, frame):
+    raise CaseTimeout(f"the case ran past {CASE_SECONDS} s")
+
+
 def record(argv):
     """Exit code, stdout and stderr of one in-process ``cli.main`` call; the code alone for exit 2."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     if code == 2:
         return {"argv": argv, "code": code}
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
@@ -239,6 +258,18 @@ def test_corpus_covers_every_subcommand():
 @pytest.mark.parametrize("i", range(len(CASES)), ids=lambda i: " ".join(map(repr, CASES[i])))
 def test_cli_output_matches_its_golden_bytes(golden, i):
     assert record(CASES[i]) == golden[i]
+
+
+def test_a_looping_case_fails_at_its_time_bound(golden, monkeypatch):
+    def loop(args):
+        while True:
+            pass
+
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        cmd._replace(run=loop) if cmd.name == "reduce" else cmd for cmd in cli.COMMANDS))
+    monkeypatch.setitem(globals(), "CASE_SECONDS", 1)
+    with pytest.raises(CaseTimeout, match="past 1 s"):
+        test_cli_output_matches_its_golden_bytes(golden, CASES.index(["reduce", "a1 a1^-1 a2"]))
 
 
 if __name__ == "__main__":

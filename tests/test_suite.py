@@ -8,10 +8,11 @@ from random import Random
 import numpy as np
 import pytest
 
+import sweeps
 from bigfree import cli, sampling, suite, tree
 from bigfree.ordered_abelian import BigFreeError
 from bigfree.ordered_abelian import LexVector, ZERO, half_exact
-from bigfree.words import Word, format_word, inverse, length_vector, multiply
+from bigfree.words import Word, format_word, inverse, length_vector, multiply, parse_word
 
 
 @pytest.mark.parametrize("entry", suite.PROPERTIES, ids=lambda entry: f"{entry[0]}/{entry[1]}")
@@ -133,6 +134,18 @@ def test_the_acceptance_helper_shows_the_first_failure_message():
         run_checks(Random(0), 0, "words/zero-hyperbolicity-random")
 
 
+def test_the_exhaustive_word_metric_names_the_triple_a_longer_product_breaks(monkeypatch):
+    # d(a1, a2) = L(a1^-1 a2) + [0,0,1] passes d(a1, e) + d(e, a2), and c(a1, a2) < 0
+    longer = parse_word("a1^-1 a2")
+    monkeypatch.setattr(suite, "length_vector",
+                        lambda w: length_vector(w) + (LexVector.unit(3) if w == longer else ZERO))
+    entry = next(e for e in suite.PROPERTIES if e[:2] == ("words", "metric-axioms-exhaustive"))
+    result = suite.run_property(entry, Random(0), 1)
+    assert result.checks == 13_113_378
+    assert result.failures == ["the triangle inequality is not certified on the enumeration",
+                               "0-hyperbolicity fails at 'a2', 'a1', ''"]
+
+
 def _two_smallest_violations_by_masks(two_c: np.ndarray) -> int:
     """Ordered triples whose least key is unique, by three equality masks."""
     x, y, z = two_c[:, :, None], two_c[:, None, :], two_c[None, :, :]
@@ -147,7 +160,7 @@ def _symmetric(keys: np.ndarray) -> np.ndarray:
 
 def test_two_smallest_violations_match_the_three_mask_count():
     rng = np.random.default_rng(7)
-    _, word_keys = suite.pair_tables(sampling.enumerate_reduced_words(3, 3), 3)
+    _, word_keys = sweeps.pair_tables(sampling.enumerate_reduced_words(3, 3), 3)
     tables = [word_keys, _symmetric(rng.integers(0, 4, (40, 40))),
               _symmetric(rng.integers(0, 10**6, (40, 40)))]  # more than 255 distinct keys
     for _ in range(3):
@@ -155,6 +168,6 @@ def test_two_smallest_violations_match_the_three_mask_count():
         for i, j in rng.integers(0, len(broken), (3, 2)):
             broken[i, j] = broken[j, i] = broken[i, j] + int(rng.integers(1, 3))
         tables.append(broken)
-    counts = [suite.exhaustive_two_smallest_violations(t) for t in tables]
+    counts = [sweeps.exhaustive_two_smallest_violations(t) for t in tables]
     assert counts == [_two_smallest_violations_by_masks(t) for t in tables]
     assert counts[0] == 0 and all(counts[1:])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bigfree.tree
-from bigfree.cayley import CayleyPoint, format_cayley_point, parse_cayley_point
+from bigfree.cayley import CayleyPoint, cayley_point, format_cayley_point, parse_cayley_point
 from bigfree.ordered_abelian import OMEGA_PLUS_ONE, TOP, BigFreeError, LexVector, ZERO
 from bigfree.sampling import enumerate_reduced_words, random_reduced_word, random_tree_point
 from bigfree.tree import (
@@ -264,6 +264,31 @@ def test_ultrametric_certificate_agrees_with_the_triple_scan(table):
         assert table[g][h] < min(table[g][k], table[h][k])
 
 
+@st.composite
+def _distances_and_lengths(draw):
+    """A symmetric table d with a zero diagonal and lengths L, as d_ij = L_i + L_j - u_ij
+    for a table u from ``_symmetric_tables`` (tree-built or noise).  Each L_i is at least
+    half the largest u_ik but for one row at most, so the certificate often passes."""
+    u = draw(_symmetric_tables())
+    n = len(u)
+    lengths = [(max([0] + [u[i][k] for k in range(n) if k != i]) + 1) // 2 + draw(st.integers(0, 2))
+               for i in range(n)]
+    if n and draw(st.booleans()):  # one length short: some c(i, k) may pass L(i)
+        lengths[draw(st.integers(0, n - 1))] -= 1
+    d = [[0 if i == j else lengths[i] + lengths[j] - u[i][j] for j in range(n)] for i in range(n)]
+    return d, lengths
+
+
+@settings(max_examples=400)
+@given(_distances_and_lengths())
+def test_the_ultrametric_certificate_implies_the_triangle_inequality(table):
+    d, lengths = table
+    n = len(d)
+    two_c = [[lengths[i] + lengths[j] - d[i][j] for j in range(n)] for i in range(n)]
+    if ultrametric_violation(two_c) is None:
+        assert all(d[i][k] <= d[i][j] + d[j][k] for i in range(n) for j in range(n) for k in range(n))
+
+
 # -- text form -------------------------------------------------------------------------
 
 def test_tree_point_text_roundtrip():
@@ -354,6 +379,17 @@ def test_edge_triples_and_cayley_points_never_compare_equal():
     assert (e.w, e.index, e.sign, e.t) == (x.w, x.index, x.sign, x.t)
     assert e != x and x != e
     assert len({e, x}) == 2
+
+
+@pytest.mark.parametrize("t", [0.25, True, "1/2", None, 5], ids=repr)
+@pytest.mark.parametrize("build", [
+    lambda t: EdgeTriple(IDENTITY, 1, 1, t),
+    lambda t: CayleyPoint(IDENTITY, 1, 1, t),
+    lambda t: cayley_point(IDENTITY, 1, 1, t),
+], ids=["EdgeTriple", "CayleyPoint", "cayley_point"])
+def test_an_inexact_or_mistyped_edge_offset_is_a_domain_error(build, t):
+    with pytest.raises(BigFreeError):
+        build(t)
 
 
 # -- suffix-only routes against their definitional oracles -----------------------------

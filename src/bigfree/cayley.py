@@ -27,7 +27,6 @@ from .ordered_abelian import (
     ParseError,
     ResourceLimitError,
     ZERO,
-    _norm_coord,
     check_index,
 )
 from .tree import (
@@ -52,7 +51,11 @@ from .words import (
 
 def _rational_offset(t) -> Fraction:
     """t as a Fraction: only an int or a Fraction is exact, so a float, bool or str is refused."""
-    return t if type(t) is Fraction else Fraction(_norm_coord(t))
+    if type(t) is Fraction:
+        return t
+    if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
+        raise BigFreeError(f"edge offset must be exact (int or Fraction), got {type(t).__name__}")
+    return Fraction(t)
 
 
 class CayleyPoint(EdgePoint):
@@ -165,11 +168,6 @@ class BallGraph(NamedTuple):
     max_letter: int
 
 
-def _letter_key(lt: Letter) -> tuple:
-    idx, sign = lt
-    return (idx is TOP, idx if idx is not TOP else 0, 0 if sign > 0 else 1)
-
-
 def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) -> BallGraph:
     """All reduced words within max_len letters of the center.
 
@@ -192,7 +190,7 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
         if letter_count > MAX_WORD_LETTERS:
             raise ResourceLimitError(f"ball would exceed {MAX_WORD_LETTERS} letters in all")
     # radius 0 uses no letter; otherwise the count above keeps the alphabet below cap.
-    # The alphabet is listed in _letter_key order, so each vertex's out-edges are too.
+    # The alphabet is in rank order (by index, positive letter first), so each vertex's out-edges are too.
     alphabet = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
     vertices = [center]
     out: List[list] = [[]]  # out[i]: the edges from vertices[i]
@@ -212,7 +210,8 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
         frontier = next_frontier
         if not frontier:
             break  # an empty alphabet: the center is the whole ball
-    rank = {lt: r for r, lt in enumerate(sorted({*alphabet, *center.letters}, key=_letter_key))}
+    letters = sorted({*alphabet, *center.letters}, key=lambda lt: (lt[0], -lt[1]))
+    rank = {lt: r for r, lt in enumerate(letters)}
     keys = [(len(v.letters), tuple(map(rank.__getitem__, v.letters))) for v in vertices]
     order = sorted(range(len(vertices)), key=keys.__getitem__)
     return BallGraph(center, tuple(vertices[i] for i in order),

@@ -119,6 +119,7 @@ def _cmd_cancel_verify(args) -> int:
 
 
 MAX_AXIOM_SAMPLE = 1000  # axioms-check forms every pairwise product, so its cost grows with the square
+MAX_EMBED_POINTS = 100_000  # embed-compare builds and scales one Fraction per grid point
 
 
 def _cmd_axioms_check(args) -> int:
@@ -158,6 +159,8 @@ def _cmd_embed_compare(args) -> int:
     index, _ = parse_letter_token(args.letter, al)
     if args.points < 1:
         raise BigFreeError(f"--points must be at least 1, got {args.points}")
+    if args.points > MAX_EMBED_POINTS:
+        raise ResourceLimitError(f"--points must be at most {MAX_EMBED_POINTS}, got {args.points}")
     report = embed_compare(w, index, t_grid=default_t_grid(args.points))
     lines = [
         f"edge ({format_word(w) or 'identity'}, {args.letter}): "
@@ -197,8 +200,6 @@ def _cmd_ball_metric(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.name != "omega-plus-one":
-        raise BigFreeError(f"unknown demo {args.name!r}")
     rows = top_edge_instability(args.depth)
     lines = [
         f"k={k}  word={format_word(w)}  coordinates={format_triple(e)}"

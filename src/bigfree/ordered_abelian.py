@@ -131,7 +131,7 @@ class LexVector:
             value = _norm_coord(value)
             if value != 0:
                 cleaned.append((idx, value))
-        cleaned.sort(key=lambda pair: (pair[0] is TOP, pair[0] if pair[0] is not TOP else 0))
+        cleaned.sort()  # by index: _Top orders TOP above every rank
         for (i1, _), (i2, _) in zip(cleaned, cleaned[1:]):
             if i1 == i2:
                 raise BigFreeError(f"duplicate index {i1!r}")

@@ -241,14 +241,30 @@ def _metric_axiom_failures(d, points, rec: _Recorder, label: str) -> None:
     rec.expect(d(p, r) <= dpq + d(q, r), lambda: f"{label}: triangle inequality fails")
 
 
-def _check_word_metric_random(rec: _Recorder, rng: Random, samples: int) -> None:
-    for _ in range(samples):
-        w = sampling.random_reduced_word(rng, 40, 8)
-        v = sampling.random_reduced_word(rng, 40, 8)
-        u = sampling.random_reduced_word(rng, 40, 8)
-        _metric_axiom_failures(word_dist, (w, v, u), rec, "word_dist")
-        if w != v:
-            rec.expect(word_dist(w, v) > ZERO, "word_dist: definiteness fails")
+_Check = Callable[[_Recorder, Random, int], None]
+
+
+def _metric_law(sample: Callable[[Random], object], d, label: str) -> _Check:
+    """The metric axioms and definiteness of ``d`` on triples drawn by ``sample``."""
+    indefinite = f"{label}: definiteness fails"
+
+    def check(rec: _Recorder, rng: Random, samples: int) -> None:
+        for _ in range(samples):
+            x, y, z = sample(rng), sample(rng), sample(rng)
+            _metric_axiom_failures(d, (x, y, z), rec, label)
+            if x != y:
+                rec.expect(d(x, y) > ZERO, indefinite)
+    return check
+
+
+def _zero_hyperbolic_law(sample: Callable[[Random], object], height, d, message: str) -> _Check:
+    """0-hyperbolicity of ``d`` at the point ``height`` measures from, on triples drawn by ``sample``."""
+    def check(rec: _Recorder, rng: Random, samples: int) -> None:
+        for _ in range(samples):
+            x, y, z = sample(rng), sample(rng), sample(rng)
+            hx, hy, hz = height(x), height(y), height(z)
+            rec.expect(two_smallest_equal(hx + hy - d(x, y), hx + hz - d(x, z), hy + hz - d(y, z)), message)
+    return check
 
 
 def _check_word_metric_exhaustive(rec: _Recorder, rng: Random, samples: int) -> None:
@@ -401,19 +417,6 @@ def _check_surjectivity_formula(rec: _Recorder, rng: Random, samples: int) -> No
                    lambda: f"preimage formula misses {target} under {format_word(h)!r}")
 
 
-def _check_tree_zero_hyperbolic(rec: _Recorder, rng: Random, samples: int) -> None:
-    base = BASEPOINT
-    for _ in range(samples):
-        p = sampling.random_tree_point(rng)
-        q = sampling.random_tree_point(rng)
-        r = sampling.random_tree_point(rng)
-        dp, dq, dr = tree_dist(base, p), tree_dist(base, q), tree_dist(base, r)
-        pq = dp + dq - tree_dist(p, q)
-        pr = dp + dr - tree_dist(p, r)
-        qr = dq + dr - tree_dist(q, r)
-        rec.expect(two_smallest_equal(pq, pr, qr), "tree points fail 0-hyperbolicity at the basepoint")
-
-
 def _check_geodesic_alignment(rec: _Recorder, rng: Random, samples: int) -> None:
     for _ in range(samples):
         p = sampling.random_tree_point(rng)
@@ -514,28 +517,6 @@ def _check_top_instability(rec: _Recorder, rng: Random, samples: int) -> None:
 
 
 # -- cayley -------------------------------------------------------------------------
-
-def _check_cayley_metric(rec: _Recorder, rng: Random, samples: int) -> None:
-    for _ in range(samples):
-        x = sampling.random_cayley_point(rng)
-        y = sampling.random_cayley_point(rng)
-        z = sampling.random_cayley_point(rng)
-        _metric_axiom_failures(cayley_dist, (x, y, z), rec, "cayley_dist")
-        if x != y:
-            rec.expect(cayley_dist(x, y) > ZERO, "cayley_dist definiteness fails")
-
-
-def _check_cayley_zero_hyperbolic(rec: _Recorder, rng: Random, samples: int) -> None:
-    for _ in range(samples):
-        x = sampling.random_cayley_point(rng)
-        y = sampling.random_cayley_point(rng)
-        z = sampling.random_cayley_point(rng)
-        px, py, pz = position(x), position(y), position(z)
-        xy = px + py - cayley_dist(x, y)
-        xz = px + pz - cayley_dist(x, z)
-        yz = py + pz - cayley_dist(y, z)
-        rec.expect(two_smallest_equal(xy, xz, yz), "graph points fail 0-hyperbolicity")
-
 
 def _check_cayley_action(rec: _Recorder, rng: Random, samples: int) -> None:
     for _ in range(samples):
@@ -697,7 +678,7 @@ def _check_stream_convergence(rec: _Recorder, rng: Random, samples: int) -> None
 
 # -- registry -----------------------------------------------------------------------
 
-Entry = Tuple[str, str, Callable[[_Recorder, Random, int], None]]
+Entry = Tuple[str, str, _Check]
 
 PROPERTIES: List[Entry] = [
     ("ordered_abelian", "order-vs-reference", _check_order_reference),
@@ -707,7 +688,8 @@ PROPERTIES: List[Entry] = [
     ("ordered_abelian", "half-exact-doubling", _check_half_exact),
     ("words", "reduction-confluence", _check_confluence),
     ("words", "cancellation-preserves-class", _check_cancellation_class),
-    ("words", "metric-axioms-random", _check_word_metric_random),
+    ("words", "metric-axioms-random", _metric_law(
+        lambda rng: sampling.random_reduced_word(rng, 40, 8), word_dist, "word_dist")),
     ("words", "metric-axioms-exhaustive", _check_word_metric_exhaustive),
     ("words", "zero-hyperbolicity-random", _check_zero_hyperbolic_random),
     ("words", "length-nonnegative", _check_length_nonnegative),
@@ -719,7 +701,9 @@ PROPERTIES: List[Entry] = [
     ("tree", "action-free", _check_tree_freeness),
     ("tree", "no-inversions", _check_no_inversions),
     ("tree", "surjectivity-formula", _check_surjectivity_formula),
-    ("tree", "zero-hyperbolic-basepoint", _check_tree_zero_hyperbolic),
+    ("tree", "zero-hyperbolic-basepoint", _zero_hyperbolic_law(
+        sampling.random_tree_point, lambda p: tree_dist(BASEPOINT, p), tree_dist,
+        "tree points fail 0-hyperbolicity at the basepoint")),
     ("tree", "geodesic-alignment", _check_geodesic_alignment),
     ("tree", "length-axioms", _check_bf_length_axioms),
     ("triples", "round-trip", _check_triple_round_trip),
@@ -729,8 +713,9 @@ PROPERTIES: List[Entry] = [
     ("triples", "circle-metric", _check_circle_metric),
     ("triples", "edge-interior", _check_edge_interior),
     ("triples", "top-instability", _check_top_instability),
-    ("cayley", "metric-axioms", _check_cayley_metric),
-    ("cayley", "zero-hyperbolicity", _check_cayley_zero_hyperbolic),
+    ("cayley", "metric-axioms", _metric_law(sampling.random_cayley_point, cayley_dist, "cayley_dist")),
+    ("cayley", "zero-hyperbolicity", _zero_hyperbolic_law(
+        sampling.random_cayley_point, position, cayley_dist, "graph points fail 0-hyperbolicity")),
     ("cayley", "isometric-action", _check_cayley_action),
     ("cayley", "special-case-formulas", _check_cayley_special_formulas),
     ("cayley", "ball-is-tree", _check_ball_tree),

@@ -45,6 +45,7 @@ from .words import (
     IDENTITY,
     MAX_WORD_LETTERS,
     Word,
+    _LETTER_NAME,
     inverse,
     letter_name,
     multiply,
@@ -207,21 +208,15 @@ def circle_dist(x: CirclePoint, y: CirclePoint) -> LexVector:
     if x.index == y.index:
         gap = abs(x.s - y.s)
         return min(gap, LexVector.unit(x.index) - gap)
-    if x.is_wedge():
-        return min(y.s, LexVector.unit(y.index) - y.s)
-    if y.is_wedge():
-        return min(x.s, LexVector.unit(x.index) - x.s)
     return min(x.s, LexVector.unit(x.index) - x.s) + min(y.s, LexVector.unit(y.index) - y.s)
 
 
 def orbit_witness(e1: TriplePoint, e2: TriplePoint) -> Optional[Word]:
     """A group element carrying e1 to e2, or None when projections differ."""
     if project(e1) != project(e2):
-        return None
-    if isinstance(e1, Word) and isinstance(e2, Word):
+        return None  # so both are words (the wedge) or both are edge points
+    if isinstance(e1, Word):
         return multiply(e2, inverse(e1))
-    if isinstance(e1, Word) or isinstance(e2, Word):
-        return None  # wedge never equals an interior projection
     if e1.sign == e2.sign:
         return multiply(e2.w, inverse(e1.w))
     return multiply(e2.far_word(), inverse(e1.w))
@@ -265,8 +260,8 @@ def format_circle_point(x: CirclePoint) -> str:
 
 
 def parse_circle_point(text: str, alphabet: Alphabet = OMEGA) -> CirclePoint:
-    m = re.fullmatch(r"\s*C\((a[1-9][0-9]*|b)\)\s*@\s*(.*)", text)
+    m = re.fullmatch(rf"\s*C\(({_LETTER_NAME})\)\s*@\s*(?P<s>.*)", text)
     if not m:
         raise ParseError(f"circle point must be 'C(a<k>) @ <vector>', got {text!r}")
     idx, _ = parse_letter_token(m.group(1), alphabet)
-    return CirclePoint(idx, parse_vector(m.group(2).strip(), alphabet))
+    return CirclePoint(idx, parse_vector(m.group("s").strip(), alphabet))

@@ -178,6 +178,10 @@ _OTHER = [
     ["cayley-act", "a1 a1^-1", "a1"],
     ["embed-compare", "a1", "a1", "--points", "0"],
     ["embed-compare", "a1", "a1", "--points", "-3"],
+    # the grid is refused past MAX_EMBED_POINTS, before any point is built
+    ["embed-compare", "", "a1", "--points", "100000"],
+    ["embed-compare", "", "a1", "--points", "100001"],
+    ["embed-compare", "", "a1", "--points", "100000000"],
     ["embed-compare", "a1 a1^-1", "a2"],
     ["embed-compare", "a1", "a2^2"],
     ["ball-letter", "a1 a1^-1", "a3", "a1"],

@@ -59,6 +59,8 @@ def test_half_exact_examples():
     assert half_exact(ZERO) == ZERO
     with pytest.raises(HalfError):
         half_exact(vec(1))
+    with pytest.raises(HalfError, match="not an integer"):
+        half_exact(LexVector({1: Fraction(1, 2)}))
 
 
 def test_abs_subadditive_sampled():
@@ -130,6 +132,8 @@ def test_parse_rejects_malformed():
         parse_vector("[1,]")
     with pytest.raises(ParseError):
         parse_vector("[1.5]")
+    with pytest.raises(ParseError, match="expected TOP=<c>"):
+        parse_vector("[1;x]", OMEGA_PLUS_ONE)
     with pytest.raises(BigFreeError):
         parse_vector("[1;TOP=2]", OMEGA)  # TOP is an omega+1 feature
     assert parse_vector("[1;TOP=2]", OMEGA_PLUS_ONE) == vec(1, top=2)

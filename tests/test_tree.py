@@ -388,7 +388,7 @@ def test_edge_triples_and_cayley_points_never_compare_equal():
     lambda t: cayley_point(IDENTITY, 1, 1, t),
 ], ids=["EdgeTriple", "CayleyPoint", "cayley_point"])
 def test_an_inexact_or_mistyped_edge_offset_is_a_domain_error(build, t):
-    with pytest.raises(BigFreeError):
+    with pytest.raises(BigFreeError, match="edge offset"):
         build(t)
 
 

@@ -21,6 +21,7 @@ from bigfree.triples import (
     format_circle_point,
     format_triple,
     from_triple,
+    orbit_witness,
     parse_circle_point,
     parse_triple,
     project,
@@ -221,6 +222,10 @@ def test_project_examples():
     assert project(EdgeTriple(IDENTITY, 1, -1, vec(0, 1))) == CirclePoint(1, vec(1, -1))
     e = EdgeTriple(IDENTITY, 1, -1, vec(0, 1))
     assert project(act_triple(W("a1"), e)) == project(e) == CirclePoint(1, vec(1, -1))
+    assert orbit_witness(W("a1"), W("a2")) == W("a2 a1^-1")
+    assert orbit_witness(W("a1"), e) is None and orbit_witness(e, IDENTITY) is None
+    with pytest.raises(BigFreeError, match="reduced"):
+        project(W("a1 a1^-1"))
 
 
 def test_words_all_project_to_the_wedge():
@@ -245,6 +250,8 @@ def test_circle_dist_across_circles_is_the_wedge_sum():
     to_wedge_y = min(y.s, LexVector.unit(2) - y.s)
     assert circle_dist(x, y) == to_wedge_x + to_wedge_y
     assert circle_dist(x, y) == circle_dist(y, x)
+    assert circle_dist(x, CirclePoint(2, ZERO)) == to_wedge_x
+    assert circle_dist(CirclePoint(3, ZERO), y) == to_wedge_y
 
 
 def test_circle_dist_is_invariant_under_endpoint_swap():

@@ -120,6 +120,7 @@ def _cmd_cancel_verify(args) -> int:
 
 MAX_AXIOM_SAMPLE = 1000  # axioms-check forms every pairwise product, so its cost grows with the square
 MAX_EMBED_POINTS = 100_000  # embed-compare builds and scales one Fraction per grid point
+MAX_SUITE_SAMPLES = 100_000  # ten times the default; the suite's time grows linearly with it
 
 
 def _cmd_axioms_check(args) -> int:
@@ -214,6 +215,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    if args.samples > MAX_SUITE_SAMPLES:
+        raise ResourceLimitError(f"--samples must be at most {MAX_SUITE_SAMPLES}, got {args.samples}")
     from .suite import format_results, run_all  # imported here only to keep `import bigfree.cli` light
 
     results = run_all(samples=args.samples, seed=args.seed)

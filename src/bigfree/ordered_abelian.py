@@ -152,6 +152,8 @@ class LexVector:
 
     @classmethod
     def unit(cls, idx: AlphabetIndex, value: Coord = 1) -> "LexVector":
+        if type(idx) is int and idx >= 1 and type(value) is int:  # the common case, already valid
+            return cls._make(((idx, value),)) if value else ZERO
         check_index(idx)
         value = _norm_coord(value)
         return cls._make(((idx, value),)) if value else ZERO
@@ -248,7 +250,27 @@ class LexVector:
         return LexVector._make(tuple((i, -v) for i, v in self.entries))
 
     def __sub__(self, other: "LexVector") -> "LexVector":
-        return self + (-other)
+        a, b = self.entries, other.entries
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ia, va = a[i]
+            ib, vb = b[j]
+            if ia == ib:
+                s = va - vb
+                if s != 0:
+                    out.append((ia, s if type(s) is int else _norm_coord(s)))
+                i += 1
+                j += 1
+            elif ia < ib:
+                out.append((ia, va))
+                i += 1
+            else:
+                out.append((ib, -vb))
+                j += 1
+        out.extend(a[i:])
+        out.extend((ib, -vb) for ib, vb in b[j:])
+        return LexVector._make(tuple(out))
 
     def __abs__(self) -> "LexVector":
         return -self if self.sign() < 0 else self

@@ -1,11 +1,13 @@
 """Seeded sample generators shared by the property suites and the tests.
 
-Stream contract: the samplers make every ``randint``/``choice`` draw through
-``rng._randbelow`` exactly as CPython's ``randint(a, b)``
-(``a + _randbelow(b - a + 1)``) and ``choice(s)`` (``s[_randbelow(len(s))]``)
-do, so their samples and the generator state after them are those of the
-``randint``/``choice`` formulation (``rng.random`` and ``rng.sample`` are
-called as such); ``tests/test_sampling.py`` pins this.
+Stream contract: every sample, and the generator state after it, is that of
+the sampler's ``randint``/``choice`` formulation.  CPython (3.10-3.12) makes
+``randint(a, b)`` as ``a + _randbelow(b - a + 1)`` and ``choice(s)`` as
+``s[_randbelow(len(s))]``, and ``_randbelow(n)`` repeats ``getrandbits(k)``,
+``k = n.bit_length()``, until the result is below ``n``.  The word samplers,
+which make almost all draws, run that loop inline on ``rng.getrandbits``;
+the other samplers call ``rng._randbelow``; ``rng.random`` and
+``rng.sample`` are called as such.  ``tests/test_sampling.py`` pins this.
 An empty range raises ``ValueError``, as ``randint`` did, where
 ``_randbelow(0)`` would loop forever.
 """
@@ -29,26 +31,53 @@ def _check_ranges(max_len: int, max_index: int) -> None:
         raise ValueError(f"empty range: max_len={max_len}, max_index={max_index}")
 
 
+def _below(bits, n: int) -> int:
+    """``_randbelow(n)`` drawn on ``bits``, the generator's ``getrandbits``."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def random_word(rng: Random, max_len: int, max_index: int) -> Word:
     """Uniform letters, cancellations allowed."""
     _check_ranges(max_len, max_index)
-    below = rng._randbelow
-    letters = tuple([(1 + below(max_index), (1, -1)[below(2)]) for _ in range(below(max_len + 1))])
-    return Word._make(letters, _is_reduced(letters))
+    bits = rng.getrandbits
+    k = max_index.bit_length()
+    letters = []
+    for _ in range(_below(bits, max_len + 1)):
+        index = bits(k)
+        while index >= max_index:
+            index = bits(k)
+        sign = bits(2)  # choice((1, -1)): _randbelow(2) draws 2 bits
+        while sign >= 2:
+            sign = bits(2)
+        letters.append((index + 1, -1 if sign else 1))
+    word = tuple(letters)
+    return Word._make(word, _is_reduced(word))
 
 
 def random_reduced_word(rng: Random, max_len: int, max_index: int) -> Word:
     """Non-backtracking walk of uniform length."""
     _check_ranges(max_len, max_index)
-    below = rng._randbelow
-    n = below(max_len + 1)
+    bits = rng.getrandbits
+    k = max_index.bit_length()
     letters: List[tuple] = []
-    for _ in range(n):
+    inverse_of_last = None
+    for _ in range(_below(bits, max_len + 1)):
         while True:
-            lt = (1 + below(max_index), (1, -1)[below(2)])
-            if not letters or letters[-1] != (lt[0], -lt[1]):
+            index = bits(k)
+            while index >= max_index:
+                index = bits(k)
+            sign = bits(2)
+            while sign >= 2:
+                sign = bits(2)
+            lt = (index + 1, -1 if sign else 1)
+            if lt != inverse_of_last:
                 break
         letters.append(lt)
+        inverse_of_last = (lt[0], -lt[1])
     return Word._make(tuple(letters), True)
 
 

@@ -132,6 +132,9 @@ _OTHER = [
     ["suite", "--samples", "3", "--seed", "9"],
     ["suite", "--samples", "5", "--seed", "1"],
     ["suite", "--samples", "-5"],
+    # refused past MAX_SUITE_SAMPLES, before any property runs
+    ["suite", "--samples", "100001"],
+    ["suite", "--samples", "1000000000"],
     ["reduce", "b b^-1"],
     ["reduce", "a1 q"],
     ["reduce", "a0"],

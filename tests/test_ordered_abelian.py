@@ -4,6 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bigfree.ordered_abelian import (
     BigFreeError,
@@ -85,10 +86,26 @@ def test_unit_validates_and_keeps_the_canonical_form():
     whole = LexVector.unit(2, Fraction(4, 2))
     assert whole.entries == ((2, 2),) and type(whole.entries[0][1]) is int
     assert LexVector.unit(1, Fraction(1, 3)).entries == ((1, Fraction(1, 3)),)
-    with pytest.raises(BigFreeError):
-        LexVector.unit(0)
-    with pytest.raises(BigFreeError):
-        LexVector.unit(1, True)
+    for bad in [(True,), (0,), (-1,), (1.0,), (1, True), (1, 0.5)]:
+        with pytest.raises(BigFreeError):
+            LexVector.unit(*bad)
+
+
+_INDICES = st.sampled_from([1, 2, 3, 4, TOP])
+_VECTORS = st.dictionaries(
+    _INDICES, st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)), max_size=5,
+).map(LexVector)
+
+
+@given(_VECTORS, _VECTORS, st.sets(_INDICES))
+@example(LexVector({1: Fraction(1, 2)}), LexVector({1: Fraction(-1, 2)}), set())
+@example(LexVector({2: 1, TOP: Fraction(1, 3)}), ZERO, {2, TOP})
+def test_sub_is_adding_the_negation(a, c, shared):
+    """``a - b`` against its definition ``a + (-b)``; ``b`` copies ``a`` on ``shared``, which then cancels."""
+    b = LexVector({**dict(c.entries), **{i: a.get(i) for i in shared}})
+    got, want = a - b, a + (-b)
+    assert got.entries == want.entries
+    assert [type(v) for _, v in got.entries] == [type(v) for _, v in want.entries]
 
 
 def test_double_stores_whole_fractions_as_ints():

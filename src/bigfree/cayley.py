@@ -5,17 +5,19 @@ unit edge from w to w a^p with exact rational 0 < t < 1: ``tree.EdgePoint``
 with a rational offset, the paper's R interval.  Distances extend the word
 metric: the position of a point is L(w) + t L(a), and the tree's formula
 subtracts twice the smallest of the two positions and the Gromov product of
-the far endpoints.  A finite ball is a tree built breadth first: each edge
-records its child, vertices sort by rank-coded letters, and the DOT and JSON
-exports format each vertex once, write the JSON layout directly and form no
-product.
+the far endpoints.  The embedding comparison samples the graph edge at
+t = k/points only, so no float enters its grid.  A finite ball is a tree
+built breadth first: each edge records its child, vertices sort by
+rank-coded letters, and the DOT and JSON exports format each vertex once,
+write the JSON layout directly and form no product.  The identity's ball
+is also the exhaustive word list of the suites and tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .ordered_abelian import (
     TOP,
@@ -108,10 +110,6 @@ class EmbedReport(NamedTuple):
         return set(self.matches) == expected
 
 
-def default_t_grid(points: int = 100) -> List[Fraction]:
-    return [Fraction(k, points) for k in range(points + 1)]
-
-
 def default_s_grid(index: AlphabetIndex) -> List[LexVector]:
     """Lattice sample of [0, L(a)]: endpoints plus two-sided perturbations.
 
@@ -129,22 +127,20 @@ def default_s_grid(index: AlphabetIndex) -> List[LexVector]:
     return grid
 
 
-def embed_compare(
-    w: Word,
-    index: AlphabetIndex,
-    t_grid: Optional[Iterable[Fraction]] = None,
-) -> EmbedReport:
-    """Report every grid coincidence of the two edge embeddings."""
+def embed_compare(w: Word, index: AlphabetIndex, points: int = 100) -> EmbedReport:
+    """Report every coincidence of the two edge embeddings on the grids.
+
+    The graph edge is sampled at t = k/points for k = 0..points.
+    """
     if not w.reduced:
         raise BigFreeError("base word must be reduced")
     check_index(index)
-    ts = list(default_t_grid() if t_grid is None else t_grid)
+    ts = [Fraction(k, points) for k in range(points + 1)]
     ss = default_s_grid(index)
     unit = LexVector.unit(index)
     lattice = set(ss)
     matches = []
     for t in ts:
-        t = Fraction(t)
         image = unit.scale(t)  # common offset L(w) cancels from both sides
         if image in lattice:
             matches.append((t, image))

@@ -28,7 +28,6 @@ from .cayley import (
     ball_json,
     cayley_act,
     cayley_dist,
-    default_t_grid,
     embed_compare,
     format_cayley_point,
     parse_cayley_point,
@@ -40,7 +39,6 @@ from .ordered_abelian import (
     format_vector,
     parse_vector,
 )
-from .sampling import enumerate_reduced_words
 from .topology import in_letter_ball, in_metric_ball
 from .tree import (
     bf_length_oracle,
@@ -65,6 +63,7 @@ from .triples import (
     triple_dist_report,
 )
 from .words import (
+    IDENTITY,
     common_prefix,
     format_cancellation,
     format_word,
@@ -129,7 +128,7 @@ def _cmd_axioms_check(args) -> int:
         total += count
         if total > MAX_AXIOM_SAMPLE:
             raise ResourceLimitError(f"axioms-check sample would exceed {MAX_AXIOM_SAMPLE} elements")
-    sample = enumerate_reduced_words(args.max_len, args.max_letter)
+    sample = ball_graph(IDENTITY, args.max_len, args.max_letter).vertices
     violation = check_length_axioms(bf_length_oracle(), sample)
     if violation is None:
         text = f"pass: {len(sample)} elements, length axioms and integrality hold"
@@ -162,7 +161,7 @@ def _cmd_embed_compare(args) -> int:
         raise BigFreeError(f"--points must be at least 1, got {args.points}")
     if args.points > MAX_EMBED_POINTS:
         raise ResourceLimitError(f"--points must be at most {MAX_EMBED_POINTS}, got {args.points}")
-    report = embed_compare(w, index, t_grid=default_t_grid(args.points))
+    report = embed_compare(w, index, args.points)
     lines = [
         f"edge ({format_word(w) or 'identity'}, {args.letter}): "
         f"{len(report.matches)} coincidences over {report.t_count} x {report.s_count} grid points"
@@ -381,7 +380,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # a defect, not bad input: one line, no traceback
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -10,6 +10,8 @@ the other samplers call ``rng._randbelow``; ``rng.random`` and
 ``rng.sample`` are called as such.  ``tests/test_sampling.py`` pins this.
 An empty range raises ``ValueError``, as ``randint`` did, where
 ``_randbelow(0)`` would loop forever.
+The exhaustive word list draws nothing: it is the identity's ball, the
+vertices of ``cayley.ball_graph``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from itertools import product
 from random import Random
 from typing import List, Optional, Tuple
 
-from .cayley import GraphPoint, cayley_point
+from .cayley import GraphPoint, ball_graph, cayley_point
 from .ordered_abelian import LexVector, ZERO
 from .tree import TreePoint
 from .triples import EdgeTriple
-from .words import Cancellation, Word, _is_reduced, length_vector
+from .words import IDENTITY, Cancellation, Word, _is_reduced, length_vector
 
 
 def _check_ranges(max_len: int, max_index: int) -> None:
@@ -176,21 +178,10 @@ def random_small_vector(rng: Random, max_index: int = 4, bound: int = 2) -> LexV
 def enumerate_reduced_words(max_len: int, max_index: int) -> List[Word]:
     """Every reduced word up to a length over the first max_index generators.
 
-    Deterministic order: by length, then by the positional letter sequence.
+    The vertices of the identity's ball, ``cayley.ball_graph``: by length,
+    then by the positional letter sequence, the identity first.
     """
-    alphabet = [(k, s) for k in range(1, max_index + 1) for s in (1, -1)]
-    out = [Word._make((), True)]
-    layer: List[tuple] = [()]
-    for _ in range(max_len if alphabet else 0):
-        next_layer = []
-        for letters in layer:
-            for lt in alphabet:
-                if letters and letters[-1] == (lt[0], -lt[1]):
-                    continue
-                next_layer.append(letters + (lt,))
-        out.extend(Word._make(ls, True) for ls in next_layer)
-        layer = next_layer
-    return out
+    return list(ball_graph(IDENTITY, max_len, max_index).vertices)
 
 
 def enumerate_small_vectors(indices: Tuple, bound: int = 2) -> List[LexVector]:

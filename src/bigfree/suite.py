@@ -588,9 +588,7 @@ def _check_ball_tree(rec: _Recorder, rng: Random, samples: int) -> None:
             seen.add(child)
         rec.expect(seen == set(graph.vertices), "ball is not connected")
         for v in graph.vertices:
-            d = word_dist(center, v)
-            total = sum(val for _, val in d.entries)
-            rec.expect(total <= max_len, "ball vertex outside the radius")
+            rec.expect(radius(v) <= max_len, "ball vertex outside the radius")
 
 
 def _check_embed_endpoints(rec: _Recorder, rng: Random, samples: int) -> None:

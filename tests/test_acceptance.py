@@ -19,7 +19,6 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from random import Random
 
 import numpy as np
@@ -168,11 +167,10 @@ def test_criterion_08_omega_plus_one_example():
 
 def test_criterion_09_embedding_remark():
     rng = Random("acceptance-9")
-    t_grid = [Fraction(k, 100) for k in range(101)]
     for _ in range(100):
         w = random_reduced_word(rng, 12, 6)
         index = rng.randint(1, 6)
-        rep = embed_compare(w, index, t_grid=t_grid)
+        rep = embed_compare(w, index, points=100)
         assert rep.t_count == 101
         assert rep.endpoints_only(), f"extra coincidences on ({format_word(w)!r}, a{index})"
     report(9, "graph-edge and lattice-edge embeddings meet only at the endpoints for "

@@ -87,6 +87,9 @@ def test_pairing_shape_validated_at_construction():
         Cancellation([(2, 2)])
     with pytest.raises(BigFreeError):
         Cancellation([(1, 2), (2, 3)])
+    for pairs in ([(0, 2)], [(1.5, 2)]):
+        with pytest.raises(BigFreeError, match="positions must be integers >= 1"):
+            Cancellation(pairs)
 
 
 def _faulty_pairing(rng: Random, w: Word):

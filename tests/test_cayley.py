@@ -105,8 +105,9 @@ def test_embed_compare_examples():
     assert report.endpoints_only()
     assert (Fraction(0), ZERO) in report.matches
     assert (Fraction(1), vec(1)) in report.matches
-    report = embed_compare(W("a2"), 1, t_grid=[Fraction(1, 2)])
-    assert report.matches == ()
+    report = embed_compare(W("a2"), 1, points=2)  # t = 1/2 meets no lattice point
+    assert report.t_count == 3
+    assert report.matches == ((Fraction(0), ZERO), (Fraction(1), vec(1)))
 
 
 # -- finite balls ---------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The corpus pins each argv's exit code and bytes.  These tests need more
 than one argv: the README examples, the import graph, exit 3 through a
-patched command, the interpreter's int() digit limit, and repeated calls
-within one process.
+patched command, an axiom violation through a patched length oracle, the
+interpreter's int() digit limit, and repeated calls within one process.
 """
 
+import json
 import os
 import re
 import shlex
@@ -16,6 +17,9 @@ import pytest
 
 from bigfree import cli
 from bigfree.cli import main
+from bigfree.ordered_abelian import LexVector
+from bigfree.tree import bf_length_oracle
+from bigfree.words import length_vector
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,6 +60,18 @@ def test_internal_errors_exit_three_with_one_line(capsys, monkeypatch):
     assert err == "internal error: ZeroDivisionError: integer division or modulo by zero\n"
 
 
+def test_axioms_check_reports_a_violation_as_text_and_json(capsys, monkeypatch):
+    # the bf length plus L(a9) off the identity: each 2 c(g, h) of distinct non-identity words is odd
+    nine = LexVector.unit(9)
+    monkeypatch.setattr(cli, "bf_length_oracle", lambda: bf_length_oracle()._replace(
+        length=lambda g: length_vector(g) + nine if g.letters else length_vector(g)))
+    argv = ["axioms-check", "--max-len", "1", "--max-letter", "1"]
+    message = "2 c(g,h) = [0,0,0,0,0,0,0,0,1] is not evenly divisible"
+    assert run(capsys, *argv) == (0, f"violation integrality: {message}\n", "")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, json.loads(out), err) == (0, {"ok": False, "axiom": "integrality", "message": message}, "")
+
+
 def python(*args, timeout=60):
     """A fresh interpreter with this checkout's ``src`` first on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -65,7 +81,7 @@ def python(*args, timeout=60):
 
 def test_importing_the_cli_does_not_import_numpy():
     proc = python("-c", "import sys, bigfree.cli; "
-                  "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
+                  "print(sorted({'numpy', 'dataclasses', 'inspect', 'bigfree.sampling'} & set(sys.modules)))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 

@@ -198,6 +198,9 @@ _OTHER = [
     ["axioms-check", "--max-len", "1000000", "--max-letter", "3"],
     ["axioms-check", "--max-len", "1000000000000", "--max-letter", "1"],
     ["axioms-check", "--max-len", "1000000000000", "--max-letter", "0"],
+    # a negative bound is refused, not answered with the identity alone
+    ["axioms-check", "--max-len", "-1"],
+    ["axioms-check", "--max-letter", "-1"],
     ["demo", "omega-plus-one", "--depth", "-1"],
     # outputs quadratic in their size: 998,991 letters in all at 1413, 1,000,405 at 1414
     ["subwords", "a1^1413"],

@@ -178,6 +178,25 @@ def test_broken_oracle_violates_axiom_one():
     assert violation.elements == (IDENTITY,)
 
 
+def bumped_oracle(bumped):
+    """The bf length plus L(a9) on each word that ``bumped`` picks."""
+    nine = LexVector.unit(9)
+    return bf_length_oracle()._replace(length=lambda g: length_vector(g) + nine if bumped(g) else length_vector(g))
+
+
+@pytest.mark.parametrize("bumped, axiom, elements, message", [
+    # every 2 c(g, h) with g, h and g^-1 h off the identity gains one L(a9)
+    (lambda g: bool(g.letters), "integrality", ("a1", "a1^-1"),
+     "2 c(g,h) = [0,0,0,0,0,0,0,0,1] is not evenly divisible"),
+    # a1 is bumped, its inverse a1^-1 is not
+    (lambda g: bool(g.letters) and g.letters[0][1] > 0, "axiom2", ("a1",),
+     "L(g) = [1,0,0,0,0,0,0,0,1] != [1] = L(g^-1)"),
+], ids=["every-non-identity-word", "positive-first-letter"])
+def test_bumped_oracles_violate_the_later_axioms(bumped, axiom, elements, message):
+    violation = check_length_axioms(bumped_oracle(bumped), enumerate_reduced_words(2, 2))
+    assert violation == (axiom, tuple(map(W, elements)), message)
+
+
 def test_length_axiom_checker_lets_defects_propagate(monkeypatch):
     # only a failed halving is an integrality violation; any other error is a defect
     base = bf_length_oracle()

@@ -142,6 +142,8 @@ def test_from_triple_examples():
         EdgeTriple(IDENTITY, 1, 1, ZERO)  # degenerate offsets use the word form
     with pytest.raises(BigFreeError):
         EdgeTriple(W("a1^-1"), 1, 1, vec(0, 1))  # base ends in the inverse letter
+    with pytest.raises(BigFreeError, match="edge sign"):
+        EdgeTriple(IDENTITY, 1, 2, vec(0, 1))
 
 
 def test_act_triple_examples():

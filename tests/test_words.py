@@ -38,6 +38,7 @@ from bigfree.words import (
     inverse,
     is_subword,
     length_vector,
+    letter,
     letter_name,
     multiply,
     parse_word,
@@ -88,6 +89,10 @@ def test_parse_errors_carry_position():
         parse_word("a0")
     with pytest.raises(BigFreeError):
         parse_word("b")  # TOP letter needs the omega+1 alphabet
+    with pytest.raises(BigFreeError, match="letter sign must be"):
+        letter(1, 2)
+    with pytest.raises(BigFreeError, match="letter sign must be"):
+        Word([(1, 2)])
     from bigfree.ordered_abelian import OMEGA_PLUS_ONE
     assert parse_word("b^-2", OMEGA_PLUS_ONE).letters == ((TOP, -1), (TOP, -1))
 
@@ -411,6 +416,8 @@ def test_truncate_examples():
     assert truncate(harmonic_stream(), 3) == W("a1 a2 a3")
     assert truncate(reversed_harmonic_stream(), 3) == W("a3 a2 a1")
     assert truncate(reversed_harmonic_stream(), 0) == IDENTITY
+    with pytest.raises(BigFreeError, match="truncation depth"):
+        truncate(harmonic_stream(), -1)
 
 
 def test_word_stream_orientation_is_checked_when_it_is_built():

@@ -15,6 +15,7 @@ is also the exhaustive word list of the suites and tests.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
@@ -127,14 +128,22 @@ def default_s_grid(index: AlphabetIndex) -> List[LexVector]:
     return grid
 
 
+MAX_EMBED_POINTS = 100_000  # embed_compare builds and scales one Fraction per grid point
+
+
 def embed_compare(w: Word, index: AlphabetIndex, points: int = 100) -> EmbedReport:
     """Report every coincidence of the two edge embeddings on the grids.
 
-    The graph edge is sampled at t = k/points for k = 0..points.
+    The graph edge is sampled at t = k/points for k = 0..points.  Raises
+    ResourceLimitError past MAX_EMBED_POINTS, before any point is built.
     """
     if not w.reduced:
         raise BigFreeError("base word must be reduced")
     check_index(index)
+    if points < 1:
+        raise BigFreeError(f"points must be at least 1, got {points}")
+    if points > MAX_EMBED_POINTS:
+        raise ResourceLimitError(f"points must be at most {MAX_EMBED_POINTS}, got {points}")
     ts = [Fraction(k, points) for k in range(points + 1)]
     ss = default_s_grid(index)
     unit = LexVector.unit(index)
@@ -256,12 +265,18 @@ def ball_json(graph: BallGraph) -> str:
 format_cayley_point = format_edge_point
 
 
+_T_TEXT = re.compile(r"-?(?:[0-9]+/[0-9]+|[0-9]+\.?[0-9]*|\.[0-9]+)")
+
+
 def _parse_t(text: str) -> Fraction:
+    """``p/q`` or a decimal in ASCII digits; ``Fraction`` alone would also take
+    exponents (``1e-100000000`` builds a 10**100000000), ``_`` and non-ASCII digits."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(
-            f"bad edge parameter {text!r} (want a rational p/q with q nonzero, or a decimal)") from None
+        if _T_TEXT.fullmatch(text):
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):  # more digits than int() converts, or q = 0
+        pass
+    raise ParseError(f"bad edge parameter {text!r} (want a rational p/q with q nonzero, or a decimal)")
 
 
 def parse_cayley_point(text: str, alphabet: Alphabet = OMEGA) -> GraphPoint:

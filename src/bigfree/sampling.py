@@ -4,10 +4,10 @@ Stream contract: every sample, and the generator state after it, is that of
 the sampler's ``randint``/``choice`` formulation.  CPython (3.10-3.12) makes
 ``randint(a, b)`` as ``a + _randbelow(b - a + 1)`` and ``choice(s)`` as
 ``s[_randbelow(len(s))]``, and ``_randbelow(n)`` repeats ``getrandbits(k)``,
-``k = n.bit_length()``, until the result is below ``n``.  The word samplers,
-which make almost all draws, run that loop inline on ``rng.getrandbits``;
-the other samplers call ``rng._randbelow``; ``rng.random`` and
-``rng.sample`` are called as such.  ``tests/test_sampling.py`` pins this.
+``k = n.bit_length()``, until the result is below ``n``.  Every bounded
+draw runs that loop on ``rng.getrandbits``: ``_below``, inlined in the word
+samplers, which make almost all draws; ``rng.random`` and ``rng.sample``
+are called as such.  ``tests/test_sampling.py`` pins this.
 An empty range raises ``ValueError``, as ``randint`` did, where
 ``_randbelow(0)`` would loop forever.
 The exhaustive word list draws nothing: it is the identity's ball, the
@@ -122,9 +122,9 @@ def random_cancellation(rng: Random, w: Word) -> Optional[Cancellation]:
 
 def random_offset_inside(rng: Random, index: int) -> LexVector:
     """A vector strictly between 0 and the unit at index."""
-    below = rng._randbelow
-    j = index + 1 + below(4)
-    c = 1 + below(5)
+    bits = rng.getrandbits
+    j = index + 1 + _below(bits, 4)
+    c = 1 + _below(bits, 5)
     if rng.random() < 0.5:
         return LexVector.unit(j, c)
     return LexVector.unit(index) - LexVector.unit(j, c)
@@ -135,7 +135,7 @@ def random_tree_point(rng: Random, max_len: int = 12, max_index: int = 5) -> Tre
     g = random_reduced_word(rng, max_len, max_index)
     if not g.letters:
         return TreePoint(ZERO, g)
-    cut = rng._randbelow(len(g.letters) + 1)
+    cut = _below(rng.getrandbits, len(g.letters) + 1)
     base = length_vector(Word._make(g.letters[:cut], True))
     if cut == len(g.letters) or rng.random() < 0.3:
         return TreePoint(base, g)
@@ -144,10 +144,10 @@ def random_tree_point(rng: Random, max_len: int = 12, max_index: int = 5) -> Tre
 
 def _edge_letter(rng: Random, w: Word, max_index: int) -> Tuple[int, int]:
     """A signed letter that may follow the reduced word w (sign drawn first)."""
-    below = rng._randbelow
-    sign = (1, -1)[below(2)]
+    bits = rng.getrandbits
+    sign = (1, -1)[_below(bits, 2)]
     while True:
-        index = 1 + below(max_index)
+        index = 1 + _below(bits, max_index)
         if not w.letters or w.letters[-1] != (index, -sign):
             return index, sign
 
@@ -163,16 +163,17 @@ def random_cayley_point(rng: Random, max_len: int = 10, max_index: int = 5) -> G
     if rng.random() < 0.25:
         return w
     index, sign = _edge_letter(rng, w, max_index)
-    den = 2 + rng._randbelow(11)
-    return cayley_point(w, index, sign, Fraction(1 + rng._randbelow(den - 1), den))
+    bits = rng.getrandbits
+    den = 2 + _below(bits, 11)
+    return cayley_point(w, index, sign, Fraction(1 + _below(bits, den - 1), den))
 
 
 def random_small_vector(rng: Random, max_index: int = 4, bound: int = 2) -> LexVector:
     if max_index < 0 or bound < 0:
         raise ValueError(f"empty range: max_index={max_index}, bound={bound}")
-    below = rng._randbelow
-    support = rng.sample(range(1, max_index + 1), below(min(3, max_index) + 1))
-    return LexVector((i, below(2 * bound + 1) - bound) for i in support)
+    bits = rng.getrandbits
+    support = rng.sample(range(1, max_index + 1), _below(bits, min(3, max_index) + 1))
+    return LexVector((i, _below(bits, 2 * bound + 1) - bound) for i in support)
 
 
 def enumerate_reduced_words(max_len: int, max_index: int) -> List[Word]:

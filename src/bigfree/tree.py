@@ -318,7 +318,8 @@ def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[Axio
 
     The sample should be closed under inverses; products are only ever formed
     pairwise inside Gromov products.  Axioms: (1) zero length exactly at the
-    identity, (2) inverse symmetry, (3) the ultrametric inequality
+    identity, on the sample and on each product g^-1 h formed (zero exactly
+    when g == h), (2) inverse symmetry, (3) the ultrametric inequality
     c(g,h) >= min{c(g,k), c(h,k)} for all sample triples, with every doubled
     product even (so each c lies in the lattice).  An axiom-3 witness is the
     triple ``ultrametric_violation`` fails on, not the first in a fixed order.
@@ -338,14 +339,19 @@ def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[Axio
     n = len(elems)
     doubled = [[None] * n for _ in range(n)]
     for i in range(n):
-        gi_inv = oracle.inverse(elems[i])
+        g = elems[i]
+        gi_inv = oracle.inverse(g)
         for j in range(i, n):
-            two_c = lengths[i] + lengths[j] - oracle.length(oracle.multiply(gi_inv, elems[j]))
+            h = elems[j]
+            d = oracle.length(oracle.multiply(gi_inv, h))
+            if (d == ZERO) != (g == h):
+                return AxiomViolation("axiom1", (g, h), f"L(g^-1 h) = {d} but g == h is {g == h}")
+            two_c = lengths[i] + lengths[j] - d
             try:
                 half_exact(two_c)
             except HalfError:
                 return AxiomViolation(
-                    "integrality", (elems[i], elems[j]),
+                    "integrality", (g, h),
                     f"2 c(g,h) = {two_c} is not evenly divisible")
             doubled[i][j] = doubled[j][i] = two_c
     triple = ultrametric_violation(doubled)

@@ -46,7 +46,7 @@ def _is_reduced(letters: tuple) -> bool:
 class Word:
     """Finite word; ``reduced`` certifies no adjacent cancelling pair."""
 
-    __slots__ = ("letters", "reduced", "_length")
+    __slots__ = ("letters", "reduced")
 
     def __init__(self, letters: Iterable[Letter] = ()):
         lst = []
@@ -55,14 +55,12 @@ class Word:
             lst.append(letter(idx, sign))
         self.letters = tuple(lst)
         self.reduced = _is_reduced(self.letters)
-        self._length = None
 
     @classmethod
     def _make(cls, letters: tuple, reduced: bool) -> "Word":
         w = object.__new__(cls)
         w.letters = letters
         w.reduced = reduced
-        w._length = None
         return w
 
     def __len__(self):
@@ -76,22 +74,11 @@ class Word:
     def __hash__(self):
         return hash(self.letters)
 
-    def __mul__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return multiply(self, other)
-
-    def __invert__(self):
-        return inverse(self)
-
     def __str__(self):
         return format_word(self)
 
     def __repr__(self):
         return f"Word({format_word(self)!r})"
-
-    def reduce(self) -> "Word":
-        return reduce(self)
 
 
 IDENTITY = Word._make((), True)
@@ -140,24 +127,12 @@ def multiply(w: Word, v: Word) -> Word:
 
 def inverse(w: Word) -> Word:
     """Reverse the order and flip every sign."""
-    out = Word._make(tuple((idx, -sign) for idx, sign in reversed(w.letters)), w.reduced)
-    if w.reduced:
-        out._length = w._length  # inverse-symmetric
-    return out
+    return Word._make(tuple((idx, -sign) for idx, sign in reversed(w.letters)), w.reduced)
 
 
 def length_vector(w: Word) -> LexVector:
-    """Occurrences of each generator (either sign) in the reduced form.
-
-    Cached on the immutable word.
-    """
-    if w._length is not None:
-        return w._length
-    r = reduce(w)
-    if r._length is None:
-        r._length = _count_vector(r.letters)
-    w._length = r._length
-    return r._length
+    """Occurrences of each generator (either sign) in the reduced form."""
+    return _count_vector(reduce(w).letters)
 
 
 def _count_vector(letters: tuple) -> LexVector:

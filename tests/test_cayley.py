@@ -9,6 +9,7 @@ from random import Random
 import pytest
 
 from bigfree.cayley import (
+    MAX_EMBED_POINTS,
     CayleyPoint,
     ResourceLimitError,
     ball_dot,
@@ -108,6 +109,11 @@ def test_embed_compare_examples():
     report = embed_compare(W("a2"), 1, points=2)  # t = 1/2 meets no lattice point
     assert report.t_count == 3
     assert report.matches == ((Fraction(0), ZERO), (Fraction(1), vec(1)))
+    for points in (0, -3):  # refused, not a division by zero or an empty grid
+        with pytest.raises(BigFreeError, match=f"^points must be at least 1, got {points}$"):
+            embed_compare(IDENTITY, 1, points)
+    with pytest.raises(ResourceLimitError, match="^points must be at most 100000, got 100001$"):
+        embed_compare(IDENTITY, 1, MAX_EMBED_POINTS + 1)
 
 
 # -- finite balls ---------------------------------------------------------------------

@@ -67,9 +67,9 @@ def test_axioms_check_reports_a_violation_as_text_and_json(capsys, monkeypatch):
         length=lambda g: length_vector(g) + nine if g.letters else length_vector(g)))
     argv = ["axioms-check", "--max-len", "1", "--max-letter", "1"]
     message = "2 c(g,h) = [0,0,0,0,0,0,0,0,1] is not evenly divisible"
-    assert run(capsys, *argv) == (0, f"violation integrality: {message}\n", "")
+    assert run(capsys, *argv) == (1, f"violation integrality: {message}\n", "")
     code, out, err = run(capsys, *argv, "--json")
-    assert (code, json.loads(out), err) == (0, {"ok": False, "axiom": "integrality", "message": message}, "")
+    assert (code, json.loads(out), err) == (1, {"ok": False, "axiom": "integrality", "message": message}, "")
 
 
 def python(*args, timeout=60):

@@ -174,6 +174,10 @@ _OTHER = [
     ["cayley-dist", "( ; a1^1 ; 1/2", ""],
     ["cayley-dist", "( ; a1^1 ; 3/2)", ""],
     ["cayley-dist", "( ; a1^1 ; -1/2)", ""],
+    # an exponent or a digit separator is refused before Fraction sees it
+    ["cayley-dist", "( ; a1^1 ; 1e-5000)", ""],
+    ["cayley-dist", "( ; a1^1 ; 1e-100000000)", ""],
+    ["cayley-dist", "( ; a1^1 ; 1_0/30)", ""],
     ["cayley-dist", "(a1 a1^-1 ; a2^1 ; 0)", ""],
     ["cayley-dist", "(a1 a1^-1 ; a2^1 ; 1/2)", ""],
     ["cayley-dist", "(a1 a1^-1 ; a2^1 ; 1)", ""],

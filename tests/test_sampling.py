@@ -1,8 +1,8 @@
 """The samplers draw exactly the stream of their randint/choice formulation.
 
-The word samplers repeat ``Random.getrandbits(n.bit_length())`` until the
-result is below ``n``, as CPython's ``_randbelow(n)`` does; the other
-samplers call ``Random._randbelow`` directly.  The oracles below are their
+Every bounded draw repeats ``Random.getrandbits(n.bit_length())`` until the
+result is below ``n``, as CPython's ``_randbelow(n)`` does: ``sampling._below``,
+inlined in the word samplers.  The oracles below are the samplers'
 ``randint``/``choice`` bodies; every sample and the generator state after it
 must match, so seeded suites and benchmarks see the same inputs whichever
 formulation runs.  The small ranges (``max_index`` 1, 2, 4, 8 and

@@ -135,10 +135,11 @@ def test_the_acceptance_helper_shows_the_first_failure_message():
 
 
 def test_the_exhaustive_word_metric_names_the_triple_a_longer_product_breaks(monkeypatch):
-    # d(a1, a2) = L(a1^-1 a2) + [0,0,1] passes d(a1, e) + d(e, a2), and c(a1, a2) < 0
-    longer = parse_word("a1^-1 a2")
-    monkeypatch.setattr(suite, "length_vector",
-                        lambda w: length_vector(w) + (LexVector.unit(3) if w == longer else ZERO))
+    # d(a1, a2) = L(a1^-1 a2) + [0,0,2] passes d(a1, e) + d(e, a2), and c(a1, a2) < 0.  The
+    # bump is even and the inverse gets it too, so only the certificate can catch it.
+    longer = (parse_word("a1^-1 a2"), parse_word("a2^-1 a1"))
+    monkeypatch.setattr(tree, "length_vector",
+                        lambda w: length_vector(w) + (LexVector.unit(3, 2) if w in longer else ZERO))
     entry = next(e for e in suite.PROPERTIES if e[:2] == ("words", "metric-axioms-exhaustive"))
     result = suite.run_property(entry, Random(0), 1)
     assert result.checks == 13_113_378

@@ -178,6 +178,15 @@ def test_broken_oracle_violates_axiom_one():
     assert violation.elements == (IDENTITY,)
 
 
+def test_a_zero_length_product_of_distinct_elements_violates_axiom_one():
+    # a1^-1 a2 is formed from the pair (a1, a2) but is not in the sample itself
+    product = W("a1^-1 a2")
+    base = bf_length_oracle()
+    broken = base._replace(length=lambda g: ZERO if g == product else length_vector(g))
+    violation = check_length_axioms(broken, enumerate_reduced_words(1, 2))
+    assert violation == ("axiom1", (W("a1"), W("a2")), "L(g^-1 h) = [] but g == h is False")
+
+
 def bumped_oracle(bumped):
     """The bf length plus L(a9) on each word that ``bumped`` picks."""
     nine = LexVector.unit(9)

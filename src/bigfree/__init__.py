@@ -30,22 +30,19 @@ from .words import (
     IDENTITY,
     InvalidCancellationError,
     Word,
-    WordStream,
     apply_cancellation,
     common_prefix,
     double_gromov,
     format_word,
     gromov,
-    harmonic_stream,
+    harmonic_word,
     inverse,
     is_subword,
     length_vector,
     multiply,
     parse_word,
     reduce,
-    reversed_harmonic_stream,
     subwords,
-    truncate,
     verify_cancellation,
     word_dist,
 )

@@ -31,6 +31,7 @@ from .ordered_abelian import (
     ResourceLimitError,
     ZERO,
     check_index,
+    read_number,
 )
 from .tree import (
     EdgePoint,
@@ -100,7 +101,6 @@ class EmbedReport(NamedTuple):
     should meet only at the shared endpoints.
     """
 
-    w: Word
     index: AlphabetIndex
     t_count: int
     s_count: int
@@ -153,7 +153,7 @@ def embed_compare(w: Word, index: AlphabetIndex, points: int = 100) -> EmbedRepo
         image = unit.scale(t)  # common offset L(w) cancels from both sides
         if image in lattice:
             matches.append((t, image))
-    return EmbedReport(w, index, len(ts), len(ss), tuple(matches))
+    return EmbedReport(index, len(ts), len(ss), tuple(matches))
 
 
 # -- finite balls -----------------------------------------------------------------
@@ -169,8 +169,6 @@ class BallGraph(NamedTuple):
     center: Word
     vertices: Tuple[Word, ...]
     edges: Tuple[Tuple[Word, Letter, Word], ...]  # (parent, letter, child)
-    max_len: int
-    max_letter: int
 
 
 def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) -> BallGraph:
@@ -220,7 +218,7 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     keys = [(len(v.letters), tuple(map(rank.__getitem__, v.letters))) for v in vertices]
     order = sorted(range(len(vertices)), key=keys.__getitem__)
     return BallGraph(center, tuple(vertices[i] for i in order),
-                     tuple(e for i in order for e in out[i]), max_len, max_letter)
+                     tuple(e for i in order for e in out[i]))
 
 
 def _labels(graph: BallGraph, quote: Callable[[str], str]) -> Tuple[Dict[tuple, str], List[Tuple[str, str, Letter]]]:
@@ -265,18 +263,20 @@ def ball_json(graph: BallGraph) -> str:
 format_cayley_point = format_edge_point
 
 
-_T_TEXT = re.compile(r"-?(?:[0-9]+/[0-9]+|[0-9]+\.?[0-9]*|\.[0-9]+)")
+_T_TEXT = re.compile(r"(-?[0-9]*)\.([0-9]*)")  # the decimal form; integers and p/q are read_number's
 
 
-def _parse_t(text: str) -> Fraction:
-    """``p/q`` or a decimal in ASCII digits; ``Fraction`` alone would also take
-    exponents (``1e-100000000`` builds a 10**100000000), ``_`` and non-ASCII digits."""
+def _parse_t(text: str) -> Union[int, Fraction]:
+    """An integer or ``p/q`` as ``read_number`` reads them, or a decimal in the same
+    digits; no exponent, since ``1e-100000000`` would build a 10**100000000."""
+    decimal = _T_TEXT.fullmatch(text)
     try:
-        if _T_TEXT.fullmatch(text):
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError):  # more digits than int() converts, or q = 0
-        pass
-    raise ParseError(f"bad edge parameter {text!r} (want a rational p/q with q nonzero, or a decimal)")
+        if decimal:
+            return Fraction(read_number(decimal[1] + decimal[2]), 10 ** len(decimal[2]))
+        return read_number(text, fraction=True)
+    except ParseError:
+        raise ParseError(
+            f"bad edge parameter {text!r} (want a rational p/q with q nonzero, or a decimal)") from None
 
 
 def parse_cayley_point(text: str, alphabet: Alphabet = OMEGA) -> GraphPoint:

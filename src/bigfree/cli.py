@@ -39,6 +39,7 @@ from .ordered_abelian import (
     alphabet_by_name,
     format_vector,
     parse_vector,
+    read_number,
 )
 from .topology import in_letter_ball, in_metric_ball
 from .tree import (
@@ -281,7 +282,7 @@ COMMANDS = (
     _query("y", "median word of three group elements", y_point,
            [Pos("v", parse_word), Pos("x", parse_word), Pos("y", parse_word)], format_word, "word"),
     Command("axioms-check", "length-function axioms on an exhaustive ball", _cmd_axioms_check,
-            (_arg("--max-len", type=int, default=3), _arg("--max-letter", type=int, default=2))),
+            (_arg("--max-len", type=read_number, default=3), _arg("--max-letter", type=read_number, default=2))),
 
     _query("to-triple", "canonical edge coordinates of a tree point", to_triple,
            [Pos("point", parse_tree_point)], format_triple, "triple"),
@@ -307,13 +308,13 @@ COMMANDS = (
     Command("embed-compare", "compare the two edge embeddings", _cmd_embed_compare, (
         _arg("word"),
         _arg("letter", help="a<k> or b"),
-        _arg("--points", type=int, default=100, help="rational grid resolution (default 100)"),
+        _arg("--points", type=read_number, default=100, help="rational grid resolution (default 100)"),
     )),
     Command("ball", "finite ball as DOT or JSON", _cmd_ball, (
-        _arg("max_len", type=int),
-        _arg("max_letter", type=int),
+        _arg("max_len", type=read_number),
+        _arg("max_letter", type=read_number),
         _arg("--center", default="", help="center word (default identity)"),
-        _arg("--cap", type=int, default=100_000, help="vertex-count guard"),
+        _arg("--cap", type=read_number, default=100_000, help="vertex-count guard"),
         [_arg("--dot", dest="as_json", action="store_false"),
          _arg("--json", dest="as_json", action="store_true")],
     ), json_flag=False),
@@ -324,9 +325,9 @@ COMMANDS = (
             (_arg("center"), _arg("eps", help="positive radius vector"), _arg("word"))),
 
     Command("demo", "run a named demonstration", _cmd_demo,
-            (_arg("name", choices=("omega-plus-one",)), _arg("--depth", type=int, default=8))),
+            (_arg("name", choices=("omega-plus-one",)), _arg("--depth", type=read_number, default=8))),
     Command("suite", "run all property suites", _cmd_suite,
-            (_arg("--samples", type=int, default=10000), _arg("--seed", type=int, default=0)),
+            (_arg("--samples", type=read_number, default=10000), _arg("--seed", type=read_number, default=0)),
             json_flag=False),
 )
 

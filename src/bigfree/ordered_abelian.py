@@ -5,7 +5,7 @@ or the ranks plus one distinguished index TOP sitting above all of them (the
 omega+1 instance).  A LexVector is a finitely supported map from indices to
 exact coordinates (int, or Fraction for the rational variant), compared by
 the first differing coordinate.  All values are immutable and all operations
-are pure.
+are pure.  ``read_number`` reads every number a user types, in every grammar.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class Alphabet(NamedTuple):
     """Index-set instance: ranks 1,2,3,... with or without the TOP letter."""
 
     has_top: bool
-    name: str
 
     def check_index(self, idx: AlphabetIndex) -> None:
         check_index(idx)
@@ -88,8 +87,8 @@ class Alphabet(NamedTuple):
             raise BigFreeError("TOP letter is not part of the omega alphabet")
 
 
-OMEGA = Alphabet(False, "omega")
-OMEGA_PLUS_ONE = Alphabet(True, "omega+1")
+OMEGA = Alphabet(False)
+OMEGA_PLUS_ONE = Alphabet(True)
 
 _ALPHABETS = {"omega": OMEGA, "omega+1": OMEGA_PLUS_ONE}
 
@@ -142,13 +141,6 @@ class LexVector:
         vec = object.__new__(cls)
         vec.entries = entries
         return vec
-
-    @classmethod
-    def from_coords(cls, coords: Iterable[Coord], top: Coord = 0) -> "LexVector":
-        """Build from positional coordinates starting at rank 1."""
-        entries = [(i, c) for i, c in enumerate(coords, start=1)]
-        entries.append((TOP, top))
-        return cls(entries)
 
     @classmethod
     def unit(cls, idx: AlphabetIndex, value: Coord = 1) -> "LexVector":
@@ -328,16 +320,32 @@ def format_vector(x: LexVector) -> str:
     return f"[{parts}{suffix}]"
 
 
+def read_number(text: str, fraction: bool = False) -> Coord:
+    """The one reader of a typed number: ASCII digits with an optional ``-``
+    and, where ``fraction`` allows it, ``p/q`` with q unsigned and nonzero.
+
+    Any other text is a ParseError, which each grammar words as its own.
+    More digits than ``int()`` converts (4,300 by default) is a
+    ResourceLimitError, "number too long", and the digits are not echoed.
+    """
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # the only int() failure left once the digits are checked
+            raise ResourceLimitError(f"number too long: {len(text)} characters") from None
+    p, slash, q = text.partition("/")
+    if fraction and slash and q.isdigit():
+        denominator = read_number(q)
+        if denominator:
+            return Fraction(read_number(p), denominator)
+    raise ParseError(f"bad number {text!r}")
+
+
 def _parse_coord(text: str, where: str) -> Coord:
     text = text.strip()
-    if not text:
-        raise ParseError(f"empty coordinate in {where}")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return int(text)
-    except (ValueError, ZeroDivisionError):
+        return read_number(text, fraction=True)
+    except ParseError:
         raise ParseError(
             f"bad coordinate {text!r} in {where} (want an integer or p/q with q nonzero)") from None
 

@@ -59,7 +59,7 @@ from .words import (
     double_gromov,
     format_word,
     gromov,
-    harmonic_stream,
+    harmonic_word,
     inverse,
     is_subword,
     length_vector,
@@ -67,7 +67,6 @@ from .words import (
     parse_word,
     reduce,
     subwords,
-    truncate,
     verify_cancellation,
     word_dist,
 )
@@ -267,8 +266,8 @@ def _zero_hyperbolic_law(sample: Callable[[Random], object], height, d, message:
 
 
 def _check_word_metric_exhaustive(rec: _Recorder, rng: Random, samples: int) -> None:
-    # The checker's axiom 1 at the products makes the diagonal 2c(j, j) = 2L(j); its
-    # ultrametric law on 2c then gives c(j, k) <= L(j) and, for c(i, j) <= c(j, k),
+    # The checker's axiom 1 at the products makes the diagonal c(j, j) = L(j); its
+    # ultrametric law on c then gives c(j, k) <= L(j) and, for c(i, j) <= c(j, k),
     # c(i, k) >= c(i, j), which together are d(i, k) <= d(i, j) + d(j, k).  So the
     # certificate also decides the triangle law.  A violation before the certificate
     # leaves both laws undecided.
@@ -341,8 +340,7 @@ def _check_subwords(rec: _Recorder, rng: Random, samples: int) -> None:
 
 
 def _check_stream_cauchy(rec: _Recorder, rng: Random, samples: int) -> None:
-    stream = harmonic_stream()
-    truncations = [truncate(stream, k) for k in range(0, 31)]
+    truncations = [harmonic_word(k) for k in range(0, 31)]
     for j in range(0, 31, 3):
         for k in range(0, 31, 3):
             d = word_dist(truncations[j], truncations[k])
@@ -662,11 +660,10 @@ def _check_metric_ball_inclusion(rec: _Recorder, rng: Random, samples: int) -> N
 
 
 def _check_stream_convergence(rec: _Recorder, rng: Random, samples: int) -> None:
-    stream = harmonic_stream()
     for a in range(1, 9):
         for j in range(a + 1, a + 8):
             for k in range(a + 1, a + 8):
-                u = difference_word(truncate(stream, j), truncate(stream, k))
+                u = difference_word(harmonic_word(j), harmonic_word(k))
                 rec.expect(uses_only_letters_above(u, a),
                            lambda: f"truncations {j}, {k} not inside the letter ball at {a}")
 

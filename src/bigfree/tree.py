@@ -337,7 +337,7 @@ def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[Axio
             return AxiomViolation("axiom2", (g,), f"L(g) = {lg} != {li} = L(g^-1)")
 
     n = len(elems)
-    doubled = [[None] * n for _ in range(n)]
+    products = [[None] * n for _ in range(n)]
     for i in range(n):
         g = elems[i]
         gi_inv = oracle.inverse(g)
@@ -348,17 +348,17 @@ def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[Axio
                 return AxiomViolation("axiom1", (g, h), f"L(g^-1 h) = {d} but g == h is {g == h}")
             two_c = lengths[i] + lengths[j] - d
             try:
-                half_exact(two_c)
+                c = half_exact(two_c)
             except HalfError:
                 return AxiomViolation(
                     "integrality", (g, h),
                     f"2 c(g,h) = {two_c} is not evenly divisible")
-            doubled[i][j] = doubled[j][i] = two_c
-    triple = ultrametric_violation(doubled)
+            products[i][j] = products[j][i] = c
+    triple = ultrametric_violation(products)
     if triple is not None:
         g, h, k = triple
         return AxiomViolation("axiom3", (elems[g], elems[h], elems[k]),
-                              f"c(g,h) = {doubled[g][h]}/2 < min of {doubled[g][k]}/2, {doubled[h][k]}/2")
+                              f"c(g,h) = {products[g][h]} < min of {products[g][k]}, {products[h][k]}")
     return None
 
 

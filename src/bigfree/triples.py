@@ -46,12 +46,11 @@ from .words import (
     MAX_WORD_LETTERS,
     Word,
     _LETTER_NAME,
+    harmonic_word,
     inverse,
     letter_name,
     multiply,
     parse_letter_token,
-    reversed_harmonic_stream,
-    truncate,
     word_dist,
 )
 
@@ -162,9 +161,6 @@ class CirclePoint:
         self.index = index
         self.s = s
 
-    def is_wedge(self) -> bool:
-        return self.s.is_zero()
-
     def __eq__(self, other):
         if not isinstance(other, CirclePoint):
             return NotImplemented
@@ -236,11 +232,10 @@ def top_edge_instability(depth: int) -> List[Tuple[int, Word, TriplePoint]]:
         raise BigFreeError("depth must be >= 0")
     if depth * (depth + 1) // 2 > MAX_WORD_LETTERS:
         raise ResourceLimitError(f"depth {depth} would exceed {MAX_WORD_LETTERS} letters in all")
-    stream = reversed_harmonic_stream()
     top_unit = LexVector.unit(TOP)
     rows = []
     for k in range(1, depth + 1):
-        w = truncate(stream, k)
+        w = Word._make(harmonic_word(k).letters[::-1], True)
         rows.append((k, w, to_triple(TreePoint(top_unit, w))))
     return rows
 

@@ -5,13 +5,13 @@ ordered sequence of letters carrying a reduction certificate.  Free
 reduction is a single left-to-right stack pass; the cancellation calculus
 (complete / noncrossing / inverse-pairing involutions on positions) is kept
 as an independent verification path so the two can cross-check.
-Genuinely infinite words appear only through WordStream truncations.
+The one infinite word, a1 a2 a3 ..., appears only through its truncations.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .ordered_abelian import (
     TOP,
@@ -23,6 +23,7 @@ from .ordered_abelian import (
     ParseError,
     ResourceLimitError,
     check_index,
+    read_number,
 )
 
 Letter = Tuple[AlphabetIndex, int]
@@ -365,13 +366,14 @@ def parse_cancellation(text: str) -> Cancellation:
         return Cancellation()
     pairs = []
     for chunk in text.split(","):
-        m = re.fullmatch(r"\s*(\d+)\s*-\s*(\d+)\s*", chunk)
-        if not m:
-            raise ParseError(f"bad cancellation pair {chunk!r} (want i-j)")
+        ends = chunk.split("-")
         try:
-            pairs.append((int(m.group(1)), int(m.group(2))))
-        except ValueError:  # more digits than int() converts
-            raise ParseError("number too long in cancellation pair") from None
+            if len(ends) == 2:
+                pairs.append((read_number(ends[0].strip()), read_number(ends[1].strip())))
+                continue
+        except ParseError:
+            pass
+        raise ParseError(f"bad cancellation pair {chunk!r} (want i-j)")
     return Cancellation(pairs)
 
 
@@ -384,7 +386,7 @@ def format_cancellation(c: Cancellation) -> str:
 _TOKEN = re.compile(r"\S+")
 _LETTER_NAME = r"(?:a([1-9][0-9]*)|b)"
 _WORD_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?[0-9]+))?")
-_LETTER_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?1))?")
+_LETTER_TOKEN = re.compile(_LETTER_NAME + r"(?:\^-?1)?")
 MAX_WORD_LETTERS = 1_000_000  # most letters parse_word reads, or subwords, top_edge_instability and ball_graph build in all
 
 
@@ -394,39 +396,39 @@ def letter_name(idx: AlphabetIndex) -> str:
 
 
 def parse_letter_token(token: str, alphabet: Alphabet) -> Tuple[AlphabetIndex, int]:
-    """Parse ``a<k>``/``b`` with optional ``^1``/``^-1``."""
-    m = _LETTER_TOKEN.fullmatch(token.strip())
-    if not m:
+    """Parse ``a<k>``/``b`` with optional ``^1``/``^-1``: a word of one letter."""
+    if not _LETTER_TOKEN.fullmatch(token.strip()):
         raise ParseError(f"bad letter token {token!r}")
-    try:
-        idx: AlphabetIndex = TOP if m.group(1) is None else int(m.group(1))
-    except ValueError:  # more digits than int() converts
-        raise ParseError("number too long in letter token") from None
-    alphabet.check_index(idx)
-    sign = 1 if m.group(2) is None else int(m.group(2))
-    return idx, sign
+    return parse_word(token, alphabet).letters[0]
+
+
+def _position(text: str, n: int) -> int:
+    """1-based position in text of its n-th token, for an error message."""
+    return [m.start() for m in _TOKEN.finditer(text)][n] + 1
 
 
 def parse_word(text: str, alphabet: Alphabet = OMEGA) -> Word:
     """Parse ``a<k>``/``a<k>^<e>`` tokens (``b`` = TOP letter); no reduction.
 
-    Raises ResourceLimitError before the word would pass MAX_WORD_LETTERS.
+    Raises ResourceLimitError before the word would pass MAX_WORD_LETTERS,
+    and at a letter rank above it.
     """
     letters = []
-    for m in _TOKEN.finditer(text):
-        tm = _WORD_TOKEN.fullmatch(m.group())
+    for n, token in enumerate(text.split()):  # the tokens of _TOKEN: both split on str.isspace
+        tm = _WORD_TOKEN.fullmatch(token)
         if tm is None:
-            raise ParseError(f"bad token {m.group()!r} at position {m.start() + 1}")
+            raise ParseError(f"bad token {token!r} at position {_position(text, n)}")
         k, e = tm.groups()
         if k is None:
             alphabet.check_index(TOP)
-        try:
-            idx: AlphabetIndex = TOP if k is None else int(k)  # the token grammar admits only ranks >= 1
-            exp = 1 if e is None else int(e)
-        except ValueError:  # more digits than int() converts
-            raise ParseError(f"number too long in token at position {m.start() + 1}") from None
+            idx: AlphabetIndex = TOP
+        else:
+            idx = read_number(k)  # the token grammar admits only ranks >= 1
+            if idx > MAX_WORD_LETTERS:  # a length vector's text has one coordinate per rank up to its largest
+                raise ResourceLimitError(f"letter rank must be at most {MAX_WORD_LETTERS}")
+        exp = 1 if e is None else read_number(e)
         if exp == 0:
-            raise ParseError(f"zero exponent in token {m.group()!r} at position {m.start() + 1}")
+            raise ParseError(f"zero exponent in token {token!r} at position {_position(text, n)}")
         if len(letters) + abs(exp) > MAX_WORD_LETTERS:
             raise ResourceLimitError(f"word would exceed {MAX_WORD_LETTERS} letters")
         letters += [(idx, 1 if exp > 0 else -1)] * abs(exp)
@@ -451,33 +453,10 @@ def format_word(w: Word) -> str:
     return " ".join(parts)
 
 
-# -- streams ------------------------------------------------------------------
+# -- the harmonic word ----------------------------------------------------------
 
-class WordStream:
-    """Letter rule on positions 1,2,3,... read forward or in reverse."""
-
-    __slots__ = ("rule", "orientation")
-
-    def __init__(self, rule: Callable[[int], Letter], orientation: str = "forward"):
-        if orientation not in ("forward", "reverse"):
-            raise BigFreeError(f"orientation must be forward or reverse, got {orientation!r}")
-        self.rule = rule
-        self.orientation = orientation
-
-
-def truncate(stream: WordStream, k: int) -> Word:
-    """First k letters under the stream's orientation."""
+def harmonic_word(k: int) -> Word:
+    """a1 a2 ... ak: the truncation at depth k of the infinite word a1 a2 a3 ..."""
     if k < 0:
         raise BigFreeError("truncation depth must be >= 0")
-    positions = range(1, k + 1) if stream.orientation == "forward" else range(k, 0, -1)
-    return Word(stream.rule(i) for i in positions)
-
-
-def harmonic_stream() -> WordStream:
-    """a1 a2 a3 ... read forward."""
-    return WordStream(lambda k: (k, 1), "forward")
-
-
-def reversed_harmonic_stream() -> WordStream:
-    """... a3 a2 a1: truncation at depth k is a_k ... a2 a1."""
-    return WordStream(lambda k: (k, 1), "reverse")
+    return Word._make(tuple((i, 1) for i in range(1, k + 1)), True)

@@ -1,6 +1,6 @@
 """Shorthands the test modules share: words and vectors from their text."""
 
-from bigfree.ordered_abelian import LexVector
+from bigfree.ordered_abelian import TOP, LexVector
 from bigfree.words import parse_word
 
 
@@ -9,4 +9,5 @@ def W(text):
 
 
 def vec(*coords, top=0):
-    return LexVector.from_coords(coords, top=top)
+    """The vector with these coordinates at ranks 1, 2, ... and ``top`` at TOP."""
+    return LexVector([*enumerate(coords, start=1), (TOP, top)])

@@ -3,7 +3,9 @@
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from bigfree.ordered_abelian import ParseError
 from bigfree.sampling import random_cancellation, random_word
 from bigfree.words import (
     Cancellation,
@@ -199,3 +201,11 @@ def test_parse_format_pairs():
     assert c == Cancellation([(3, 4), (1, 2)])
     assert format_cancellation(c) == "1-2,3-4"
     assert parse_cancellation("") == Cancellation()
+    for text in ("1:2", "1-2-3", "1--2", "-1-2", "1-", "1_0-2", "+1-2", "\u0661-\u0662", "1-2,"):
+        with pytest.raises(ParseError, match="bad cancellation pair"):
+            parse_cancellation(text)
+
+
+@given(st.lists(st.integers(1, 10**40), unique=True).map(lambda ps: Cancellation(zip(ps[::2], ps[1::2]))))
+def test_cancellation_text_round_trips(c):
+    assert parse_cancellation(format_cancellation(c)) == c

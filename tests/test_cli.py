@@ -3,7 +3,9 @@
 The corpus pins each argv's exit code and bytes.  These tests need more
 than one argv: the README examples, the import graph, exit 3 through a
 patched command, an axiom violation through a patched length oracle, the
-interpreter's int() digit limit, and repeated calls within one process.
+interpreter's int() digit limit, an answer too long for the corpus (a
+letter rank at its cap), the argument types of the command table, and
+repeated calls within one process.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 
 from bigfree import cli
 from bigfree.cli import main
-from bigfree.ordered_abelian import LexVector
+from bigfree.ordered_abelian import LexVector, read_number
 from bigfree.tree import bf_length_oracle
 from bigfree.words import length_vector
 
@@ -47,6 +49,16 @@ def test_numbers_past_the_int_digit_limit_are_one_line_errors(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: number too long") and err.count("\n") == 1
     assert "internal error" not in err
+
+
+def test_a_letter_rank_at_the_cap_is_answered(capsys):
+    assert run(capsys, "len", "a1000000") == (0, "[" + "0," * 999_999 + "1]\n", "")
+
+
+def test_every_integer_argument_is_read_by_the_one_number_reader():
+    specs = [spec for cmd in cli.COMMANDS for arg in cmd.args for spec in (arg if isinstance(arg, list) else [arg])]
+    types = [options["type"] for _, options in specs if "type" in options]
+    assert len(types) == 9 and set(types) == {read_number}
 
 
 def test_internal_errors_exit_three_with_one_line(capsys, monkeypatch):

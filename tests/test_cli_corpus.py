@@ -142,6 +142,17 @@ _OTHER = [
     ["reduce", "a1", "--alphabet", "omega+1", "--json"],
     ["len", "a1^1000001"],
     ["len", "a1^500001 a2^500001"],
+    # a letter rank past MAX_WORD_LETTERS is refused as it is read, before any vector
+    # with one coordinate per rank is formatted, and the message does not echo it
+    ["len", "a99999999999"],
+    ["len", "a10000000"],
+    ["gromov", "a99999999999", "a99999999999"],
+    ["dist", "", "a99999999999"],
+    ["embed-compare", "", "a99999999999", "--points", "3"],
+    ["cayley-dist", "( ; a99999999999^1 ; 1/2)", ""],
+    ["project", "( ; a99999999999^-1 ; [1])"],
+    ["to-triple", "[1] @ a99999999999"],
+    ["tree-dist", "[0] @ ", "[1] @ a10000000"],
     ["mul", "a1 a1^-1", "a1"],
     ["prefix", "a1 a1^-1", "a1"],
     ["gromov", "a1", "a2 a2^-1"],
@@ -150,11 +161,16 @@ _OTHER = [
     ["cancel-verify", "a1 a1^-1", "1-1"],
     ["cancel-verify", "a1 a1^-1 a2 a2^-1", "1-2,2-3"],
     ["cancel-verify", "a1 a1^-1", "1:2"],
+    ["cancel-verify", "a1 a1^-1", "\u0661-\u0662"],  # Arabic-Indic digits
     ["tree-dist", "[1] a1", "[] @ "],
     ["tree-dist", "[2] @ a1", "[] @ "],
     ["tree-dist", "[1] @ a1 a1^-1 a1", "[] @ "],
     ["tree-dist", "[1,x] @ a1", "[] @ "],
     ["tree-dist", "1 @ a1", "[] @ "],
+    # a coordinate is ASCII digits with an optional '-', or p/q with q unsigned
+    ["tree-dist", "[+1] @ a1", "[] @ "],
+    ["tree-dist", "[\u0661] @ a1", "[] @ "],
+    ["tree-dist", "[1/-2] @ a1", "[] @ "],
     ["tree-act", "a1 a1^-1", "[] @ "],
     ["y", "a1 a1^-1", "", ""],
     ["from-triple", "( ; a1^1 ; [1])"],
@@ -197,6 +213,7 @@ _OTHER = [
     ["ball-metric", "", "[-1]", "a1"],
     ["ball-metric", "", "[x]", "a1"],
     ["ball-metric", "", "[1/0]", "a1"],
+    ["ball-metric", "", "[1_0]", "a1"],
     ["axioms-check", "--max-len", "3", "--max-letter", "3"],
     ["axioms-check", "--max-len", "5", "--max-letter", "3"],
     ["axioms-check", "--max-len", "1000000", "--max-letter", "3"],
@@ -222,6 +239,8 @@ _OTHER = [
     ["demo", "other"],
     ["reduce", "a1", "--alphabet", "omega+2"],
     ["axioms-check", "--max-len", "x"],
+    ["embed-compare", "", "a1", "--points", "1_0"],
+    ["ball", "\u0661", "\u0662", "--dot"],
     ["ball", "2", "3", "--dot", "--alphabet"],
 ]
 

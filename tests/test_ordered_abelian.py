@@ -1,5 +1,6 @@
 """Order, arithmetic and text form of the coordinate vectors."""
 
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -13,11 +14,13 @@ from bigfree.ordered_abelian import (
     OMEGA,
     OMEGA_PLUS_ONE,
     ParseError,
+    ResourceLimitError,
     TOP,
     ZERO,
     format_vector,
     half_exact,
     parse_vector,
+    read_number,
 )
 from bigfree.sampling import random_small_vector
 
@@ -140,6 +143,40 @@ def test_parse_format_roundtrip():
         assert parse_vector(format_vector(x)) == x
     y = vec(2, -3, top=5)
     assert parse_vector(format_vector(y), OMEGA_PLUS_ONE) == y
+
+
+_COORDS = st.one_of(st.integers(), st.fractions())
+
+
+@given(st.lists(_COORDS, max_size=6), _COORDS, st.booleans())
+@example([], 0, False)  # the zero vector under both alphabets
+@example([], 0, True)
+def test_vector_text_round_trips(coords, top, with_top):
+    alphabet = OMEGA_PLUS_ONE if with_top else OMEGA
+    x = vec(*coords, top=top if with_top else 0)
+    assert parse_vector(format_vector(x), alphabet) == x
+
+
+def test_read_number_takes_ascii_digits_an_optional_minus_and_p_over_q_where_allowed():
+    assert (read_number("42"), read_number("-007"), read_number("-0")) == (42, -7, 0)
+    assert read_number("3/6", fraction=True) == Fraction(1, 2)
+    assert read_number("-4/2", fraction=True) == -2
+    assert read_number("5", fraction=True) == 5
+    for text in ("", "-", "+1", " 1", "1 ", "1_0", "\u0661", "\uff11", "1.5", "1e3", "--1", "3/6"):
+        with pytest.raises(ParseError, match="bad number"):
+            read_number(text)
+    for text in ("1/0", "1/-2", "1/+2", "/2", "1/", "1/2/3", "1 / 2"):
+        with pytest.raises(ParseError, match="bad number"):
+            read_number(text, fraction=True)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter's int() has no digit limit")
+def test_read_number_refuses_more_digits_than_int_converts_without_echoing_them():
+    for text, fraction in (("9" * 5000, False), ("-" + "9" * 5000, False), ("1/" + "9" * 5000, True)):
+        with pytest.raises(ResourceLimitError) as info:
+            read_number(text, fraction)
+        assert str(info.value).startswith("number too long") and "99" not in str(info.value)
 
 
 def test_parse_rejects_malformed():

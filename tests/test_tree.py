@@ -243,6 +243,7 @@ def test_free_abelian_rank_two_violates_ultrametric_at_a_b_ab():
     assert violation is not None
     assert violation.axiom == "axiom3"
     assert violation.elements == (a, b, ab)
+    assert violation.message == "c(g,h) = [] < min of [1], [1]"  # the products, not their doubles
 
 
 def brute_force_ultrametric_violation(table):

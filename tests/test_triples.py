@@ -16,6 +16,7 @@ from bigfree.tree import TreePoint, point_eq, tree_act, tree_dist
 from bigfree.triples import (
     CirclePoint,
     EdgeTriple,
+    WEDGE,
     act_triple,
     circle_dist,
     format_circle_point,
@@ -234,7 +235,7 @@ def test_words_all_project_to_the_wedge():
     rng = Random(149)
     for _ in range(100):
         w = random_reduced_word(rng, 8, 4)
-        assert project(w).is_wedge()
+        assert project(w) == WEDGE
         assert project(w) == project(IDENTITY)
 
 

@@ -26,7 +26,6 @@ from bigfree.words import (
     IDENTITY,
     MAX_WORD_LETTERS,
     Word,
-    WordStream,
     _TOKEN,
     _WORD_TOKEN,
     _is_reduced,
@@ -34,19 +33,18 @@ from bigfree.words import (
     double_gromov,
     format_word,
     gromov,
-    harmonic_stream,
+    harmonic_word,
     inverse,
     is_subword,
     length_vector,
     letter,
     letter_name,
     multiply,
+    parse_letter_token,
     parse_word,
     reduce,
     reduced_word_counts,
-    reversed_harmonic_stream,
     subwords,
-    truncate,
     word_dist,
 )
 
@@ -95,6 +93,17 @@ def test_parse_errors_carry_position():
         Word([(1, 2)])
     from bigfree.ordered_abelian import OMEGA_PLUS_ONE
     assert parse_word("b^-2", OMEGA_PLUS_ONE).letters == ((TOP, -1), (TOP, -1))
+
+
+def test_letter_ranks_stop_at_the_word_letter_cap():
+    # a length vector's text has one coordinate per rank, up to the largest
+    assert parse_word("a1000000").letters == ((1_000_000, 1),)
+    assert parse_letter_token("a1000000^-1", OMEGA) == (1_000_000, -1)
+    for parse in (parse_word, lambda text: parse_letter_token(text, OMEGA)):
+        for text in ("a1000001", "a99999999999"):
+            with pytest.raises(ResourceLimitError) as info:
+                parse(text)
+            assert str(info.value) == "letter rank must be at most 1000000"  # the rank is not echoed
 
 
 def test_format_roundtrip_is_canonical():
@@ -412,23 +421,15 @@ def test_is_subword_agrees_with_the_length_identity(pair):
 
 # -- streams ----------------------------------------------------------------------------
 
-def test_truncate_examples():
-    assert truncate(harmonic_stream(), 3) == W("a1 a2 a3")
-    assert truncate(reversed_harmonic_stream(), 3) == W("a3 a2 a1")
-    assert truncate(reversed_harmonic_stream(), 0) == IDENTITY
+def test_harmonic_word_examples():
+    assert harmonic_word(3) == W("a1 a2 a3")
+    assert harmonic_word(0) == IDENTITY
     with pytest.raises(BigFreeError, match="truncation depth"):
-        truncate(harmonic_stream(), -1)
-
-
-def test_word_stream_orientation_is_checked_when_it_is_built():
-    assert WordStream(lambda k: (k, 1)).orientation == "forward"
-    with pytest.raises(BigFreeError, match="orientation must be forward or reverse, got 'sideways'"):
-        WordStream(lambda k: (k, 1), "sideways")
+        harmonic_word(-1)
 
 
 def test_stream_truncations_are_cauchy():
-    s = harmonic_stream()
     for j in range(0, 15):
         for k in range(0, 15):
-            d = word_dist(truncate(s, j), truncate(s, k))
+            d = word_dist(harmonic_word(j), harmonic_word(k))
             assert all(idx > min(j, k) for idx, _ in d.entries)

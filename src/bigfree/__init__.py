@@ -19,7 +19,6 @@ from .ordered_abelian import (
     OMEGA_PLUS_ONE,
     ParseError,
     ZERO,
-    alphabet_by_name,
     format_vector,
     half_exact,
     parse_vector,

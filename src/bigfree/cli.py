@@ -4,8 +4,9 @@ Every subcommand is one row of the ordered ``COMMANDS`` table, and
 ``build_parser`` is one loop over it.  Most rows are queries: the row names
 the library operation, its positional arguments with the text grammar of
 each, the formatter of the result and the ``--json`` key, and one handler
-serves them all.  The rest name their own handler, because their output is
-not one formatted value or they parse their arguments out of order.
+serves them all; a formatter may return a JSON value (the membership
+commands return a bool), which prints as its JSON text.  The rest name their
+own handler, because their output is not one formatted value.
 
 Exit codes: 0 success, 1 domain error (bad values, non-canonical input),
 2 usage error, 3 internal error (an exception that is not a domain error,
@@ -34,9 +35,10 @@ from .cayley import (
     parse_cayley_point,
 )
 from .ordered_abelian import (
+    OMEGA,
+    OMEGA_PLUS_ONE,
     BigFreeError,
     ResourceLimitError,
-    alphabet_by_name,
     format_vector,
     parse_vector,
     read_number,
@@ -91,8 +93,23 @@ def _emit(args, text: str, payload) -> int:
     return 0
 
 
+ALPHABETS = {"omega": OMEGA, "omega+1": OMEGA_PLUS_ONE}  # the --alphabet choices
+
+
 def _alphabet(args):
-    return alphabet_by_name(args.alphabet)
+    return ALPHABETS[args.alphabet]
+
+
+def integer(text: str) -> int:
+    """An integer option: ``read_number``, with its refusals as argparse usage errors.
+
+    A number too long is reported by its length, so the usage error does not
+    echo its digits; any other bad text keeps argparse's own message.
+    """
+    try:
+        return read_number(text)
+    except ResourceLimitError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # -- handlers of the commands that are not one formatted value ----------------------
@@ -177,20 +194,6 @@ def _cmd_ball(args) -> int:
     return 0
 
 
-def _cmd_ball_letter(args) -> int:
-    al = _alphabet(args)
-    threshold, _ = parse_letter_token(args.letter, al)
-    inside = in_letter_ball(parse_word(args.center, al), threshold, parse_word(args.word, al))
-    return _emit(args, "true" if inside else "false", {"inside": inside})
-
-
-def _cmd_ball_metric(args) -> int:
-    al = _alphabet(args)
-    eps = parse_vector(args.eps, al)
-    inside = in_metric_ball(parse_word(args.center, al), eps, parse_word(args.word, al))
-    return _emit(args, "true" if inside else "false", {"inside": inside})
-
-
 def _cmd_demo(args) -> int:
     rows = top_edge_instability(args.depth)
     lines = [
@@ -247,12 +250,13 @@ class Pos(NamedTuple):
 def _query(name: str, help_text: str, op: Callable, params, fmt: Callable, key: str) -> Command:
     """Row that parses its positionals in order, calls ``op`` and prints ``fmt`` of the result.
 
-    Under ``--json`` the output is ``{key: text}``.
+    Under ``--json`` the output is ``{key: value}``, with ``value`` what ``fmt``
+    returned.  A ``fmt`` value that is not a string prints as its JSON text.
     """
     def run(args) -> int:
         al = _alphabet(args)
-        text = fmt(op(*(p.parse(getattr(args, p.name), al) for p in params)))
-        return _emit(args, text, {key: text})
+        value = fmt(op(*(p.parse(getattr(args, p.name), al) for p in params)))
+        return _emit(args, value if isinstance(value, str) else json.dumps(value), {key: value})
 
     return Command(name, help_text, run, tuple(_arg(p.name, help=p.help) for p in params))
 
@@ -282,7 +286,7 @@ COMMANDS = (
     _query("y", "median word of three group elements", y_point,
            [Pos("v", parse_word), Pos("x", parse_word), Pos("y", parse_word)], format_word, "word"),
     Command("axioms-check", "length-function axioms on an exhaustive ball", _cmd_axioms_check,
-            (_arg("--max-len", type=read_number, default=3), _arg("--max-letter", type=read_number, default=2))),
+            (_arg("--max-len", type=integer, default=3), _arg("--max-letter", type=integer, default=2))),
 
     _query("to-triple", "canonical edge coordinates of a tree point", to_triple,
            [Pos("point", parse_tree_point)], format_triple, "triple"),
@@ -308,26 +312,30 @@ COMMANDS = (
     Command("embed-compare", "compare the two edge embeddings", _cmd_embed_compare, (
         _arg("word"),
         _arg("letter", help="a<k> or b"),
-        _arg("--points", type=read_number, default=100, help="rational grid resolution (default 100)"),
+        _arg("--points", type=integer, default=100, help="rational grid resolution (default 100)"),
     )),
     Command("ball", "finite ball as DOT or JSON", _cmd_ball, (
-        _arg("max_len", type=read_number),
-        _arg("max_letter", type=read_number),
+        _arg("max_len", type=integer),
+        _arg("max_letter", type=integer),
         _arg("--center", default="", help="center word (default identity)"),
-        _arg("--cap", type=read_number, default=100_000, help="vertex-count guard"),
+        _arg("--cap", type=integer, default=100_000, help="vertex-count guard"),
         [_arg("--dot", dest="as_json", action="store_false"),
          _arg("--json", dest="as_json", action="store_true")],
     ), json_flag=False),
 
-    Command("ball-letter", "letter-ball membership", _cmd_ball_letter,
-            (_arg("center"), _arg("letter", help="threshold letter a<k> or b"), _arg("word"))),
-    Command("ball-metric", "metric-ball membership", _cmd_ball_metric,
-            (_arg("center"), _arg("eps", help="positive radius vector"), _arg("word"))),
+    _query("ball-letter", "letter-ball membership", in_letter_ball,
+           [Pos("center", parse_word),
+            Pos("letter", lambda text, al: parse_letter_token(text, al)[0], "threshold letter a<k> or b"),
+            Pos("word", parse_word)],
+           bool, "inside"),
+    _query("ball-metric", "metric-ball membership", in_metric_ball,
+           [Pos("center", parse_word), Pos("eps", parse_vector, "positive radius vector"), Pos("word", parse_word)],
+           bool, "inside"),
 
     Command("demo", "run a named demonstration", _cmd_demo,
-            (_arg("name", choices=("omega-plus-one",)), _arg("--depth", type=read_number, default=8))),
+            (_arg("name", choices=("omega-plus-one",)), _arg("--depth", type=integer, default=8))),
     Command("suite", "run all property suites", _cmd_suite,
-            (_arg("--samples", type=read_number, default=10000), _arg("--seed", type=read_number, default=0)),
+            (_arg("--samples", type=integer, default=10000), _arg("--seed", type=integer, default=0)),
             json_flag=False),
 )
 
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="<command>")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alphabet", choices=("omega", "omega+1"), default="omega",
+    common.add_argument("--alphabet", choices=ALPHABETS, default="omega",
                         help="index-set instance (default omega)")
     query = argparse.ArgumentParser(add_help=False)
     query.add_argument("--json", action="store_true", help="machine-readable output")

@@ -90,15 +90,6 @@ class Alphabet(NamedTuple):
 OMEGA = Alphabet(False)
 OMEGA_PLUS_ONE = Alphabet(True)
 
-_ALPHABETS = {"omega": OMEGA, "omega+1": OMEGA_PLUS_ONE}
-
-
-def alphabet_by_name(name: str) -> Alphabet:
-    try:
-        return _ALPHABETS[name]
-    except KeyError:
-        raise ParseError(f"unknown alphabet {name!r} (use omega or omega+1)") from None
-
 
 def _norm_coord(value: Coord) -> Coord:
     if isinstance(value, bool):
@@ -216,53 +207,13 @@ class LexVector:
         return self.compare(other) >= 0
 
     def __add__(self, other: "LexVector") -> "LexVector":
-        a, b = self.entries, other.entries
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ia, va = a[i]
-            ib, vb = b[j]
-            if ia == ib:
-                s = va + vb
-                if s != 0:
-                    out.append((ia, s if type(s) is int else _norm_coord(s)))
-                i += 1
-                j += 1
-            elif ia < ib:
-                out.append((ia, va))
-                i += 1
-            else:
-                out.append((ib, vb))
-                j += 1
-        out.extend(a[i:])
-        out.extend(b[j:])
-        return LexVector._make(tuple(out))
+        return _merge(self.entries, other.entries, False)
 
     def __neg__(self) -> "LexVector":
         return LexVector._make(tuple((i, -v) for i, v in self.entries))
 
     def __sub__(self, other: "LexVector") -> "LexVector":
-        a, b = self.entries, other.entries
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            ia, va = a[i]
-            ib, vb = b[j]
-            if ia == ib:
-                s = va - vb
-                if s != 0:
-                    out.append((ia, s if type(s) is int else _norm_coord(s)))
-                i += 1
-                j += 1
-            elif ia < ib:
-                out.append((ia, va))
-                i += 1
-            else:
-                out.append((ib, -vb))
-                j += 1
-        out.extend(a[i:])
-        out.extend((ib, -vb) for ib, vb in b[j:])
-        return LexVector._make(tuple(out))
+        return _merge(self.entries, other.entries, True)
 
     def __abs__(self) -> "LexVector":
         return -self if self.sign() < 0 else self
@@ -283,6 +234,30 @@ class LexVector:
 
 
 ZERO = LexVector._make(())
+
+
+def _merge(a: tuple, b: tuple, subtract: bool) -> LexVector:
+    """a + b, or a - b when ``subtract``: one pass over the two sorted entry tuples."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ia, va = a[i]
+        ib, vb = b[j]
+        if ia == ib:
+            s = va - vb if subtract else va + vb
+            if s != 0:
+                out.append((ia, s if type(s) is int else _norm_coord(s)))
+            i += 1
+            j += 1
+        elif ia < ib:
+            out.append((ia, va))
+            i += 1
+        else:
+            out.append((ib, -vb if subtract else vb))
+            j += 1
+    out.extend(a[i:])
+    out.extend(((ib, -vb) for ib, vb in b[j:]) if subtract else b[j:])
+    return LexVector._make(tuple(out))
 
 
 def half_exact(x: LexVector) -> LexVector:

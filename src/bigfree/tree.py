@@ -129,12 +129,15 @@ def tree_act(h: Word, p: TreePoint) -> TreePoint:
 
 
 def y_point(v: Word, x: Word, y: Word) -> Word:
-    """Median of three group elements: the branch point of [v,x] and [v,y]."""
+    """Median of three group elements: the deepest of their three pairwise branch points.
+
+    Each branch point is a common prefix; two of the three are equal and the
+    third extends them, so the median is the longest.
+    """
     for w in (v, x, y):
         if not w.reduced:
             raise BigFreeError("y_point arguments must be reduced")
-    v_inv = inverse(v)
-    return multiply(v, common_prefix(multiply(v_inv, x), multiply(v_inv, y)))
+    return max(common_prefix(v, x), common_prefix(v, y), common_prefix(x, y), key=len)
 
 
 def format_tree_point(p: TreePoint) -> str:

@@ -98,23 +98,17 @@ def reduce(w: Word) -> Word:
     return Word._make(tuple(stack), True)
 
 
-def _cancel_len(a: tuple, b: tuple) -> int:
-    """Number of letters at the end of ``a`` that cancel against the start of ``b``."""
-    k = 0
-    for x, (idx, sign) in zip(reversed(a), b):
-        if x != (idx, -sign):
-            break
-        k += 1
-    return k
-
-
 def _junction(a: tuple, b: tuple) -> Tuple[int, tuple]:
     """The k letters of reduced ``a`` that cancel against reduced ``b``, and the reduced join.
 
     Only the last letters of a can cancel against the first letters of b;
     the join drops those k letters from each side and keeps the rest.
     """
-    k = _cancel_len(a, b)
+    k = 0
+    for x, (idx, sign) in zip(reversed(a), b):
+        if x != (idx, -sign):
+            break
+        k += 1
     return k, a[:len(a) - k] + b[k:]
 
 

@@ -58,7 +58,39 @@ def test_a_letter_rank_at_the_cap_is_answered(capsys):
 def test_every_integer_argument_is_read_by_the_one_number_reader():
     specs = [spec for cmd in cli.COMMANDS for arg in cmd.args for spec in (arg if isinstance(arg, list) else [arg])]
     types = [options["type"] for _, options in specs if "type" in options]
-    assert len(types) == 9 and set(types) == {read_number}
+    assert len(types) == 9 and set(types) == {cli.integer}
+    assert cli.integer("-12") == read_number("-12") == -12
+
+
+_LONG = "1" + "0" * 4400  # 4,401 digits: past int()'s default limit, so read_number refuses it by its length
+
+
+@pytest.mark.parametrize("argv", [
+    ["axioms-check", "--max-len", _LONG],
+    ["axioms-check", "--max-letter", _LONG],
+    ["embed-compare", "", "a1", "--points", _LONG],
+    ["ball", _LONG, "1", "--dot"],
+    ["ball", "1", _LONG, "--dot"],
+    ["ball", "1", "1", "--cap", _LONG, "--dot"],
+    ["demo", "omega-plus-one", "--depth", _LONG],
+    ["suite", "--samples", _LONG],
+    ["suite", "--seed", _LONG],
+], ids=["max-len", "max-letter", "points", "ball-max_len", "ball-max_letter", "cap", "depth", "samples", "seed"])
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter's int() has no digit limit")
+def test_an_integer_option_too_long_is_a_short_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err.encode()) < 400
+    assert err.rstrip().endswith(": number too long: 4401 characters")
+
+
+def test_other_bad_integer_text_keeps_the_usage_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--seed", "1_0"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith("argument --seed: invalid integer value: '1_0'")
 
 
 def test_internal_errors_exit_three_with_one_line(capsys, monkeypatch):

@@ -68,6 +68,7 @@ _ANSWERED = [
     ["tree-act", "a2^-1", "[1,0,0,1] @ a1 a3"],
     ["y", "", "a1 a2", "a1 a3"],
     ["y", "a4", "a1 a2", "a3"],
+    ["y", "a2", "a1 a3 a5", "a1 a3 a4"],  # the median is the branch point of x and y
     ["axioms-check", "--max-len", "2", "--max-letter", "2"],
     ["axioms-check", "--max-len", "0", "--max-letter", "3"],
     ["to-triple", "[1] @ a2 a1"],
@@ -209,11 +210,14 @@ _OTHER = [
     ["embed-compare", "a1", "a2^2"],
     ["ball-letter", "a1 a1^-1", "a3", "a1"],
     ["ball-letter", "a1", "c", "a1"],
+    # the arguments are read in order, so the first malformed one is reported
+    ["ball-letter", "a1 x", "c", "a1"],
     ["ball-metric", "", "[]", "a1"],
     ["ball-metric", "", "[-1]", "a1"],
     ["ball-metric", "", "[x]", "a1"],
     ["ball-metric", "", "[1/0]", "a1"],
     ["ball-metric", "", "[1_0]", "a1"],
+    ["ball-metric", "a1 x", "[x]", "a1"],
     ["axioms-check", "--max-len", "3", "--max-letter", "3"],
     ["axioms-check", "--max-len", "5", "--max-letter", "3"],
     ["axioms-check", "--max-len", "1000000", "--max-letter", "3"],

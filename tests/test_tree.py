@@ -29,10 +29,18 @@ from bigfree.tree import (
     word_point,
     y_point,
 )
-from bigfree.triples import EdgeTriple, format_triple, parse_triple
+from bigfree.triples import (
+    CirclePoint,
+    EdgeTriple,
+    format_circle_point,
+    format_triple,
+    parse_circle_point,
+    parse_triple,
+)
 from bigfree.words import (
     IDENTITY,
     Word,
+    common_prefix,
     gromov,
     inverse,
     length_vector,
@@ -160,6 +168,25 @@ def test_y_point_matches_brute_force_and_is_symmetric():
         u = y_point(v, x, y)
         assert u == oracle_y_point(v, x, y)
         assert u == y_point(x, v, y) == y_point(y, x, v) == y_point(v, y, x)
+
+
+def product_y_point(v, x, y):
+    """The median by products: v times the common prefix of v^-1 x and v^-1 y."""
+    v_inv = inverse(v)
+    return multiply(v, common_prefix(multiply(v_inv, x), multiply(v_inv, y)))
+
+
+@st.composite
+def _branching_words(draw):
+    """Three reduced words of up to 40 letters, each extending none, one or both of two nested prefixes."""
+    p = _extend(draw, (), 14)
+    q = _extend(draw, p, 13)
+    return [Word._make(_extend(draw, draw(st.sampled_from(((), p, q))), 13), True) for _ in range(3)]
+
+
+@given(_branching_words())
+def test_y_point_is_the_median_by_products(words):
+    assert y_point(*words) == product_y_point(*words)
 
 
 # -- length axioms ------------------------------------------------------------------
@@ -399,6 +426,38 @@ def test_edge_triple_text_round_trip(e):
 @given(cayley_points())
 def test_cayley_point_text_round_trip(x):
     assert parse_cayley_point(format_cayley_point(x), OMEGA_PLUS_ONE) == x
+
+
+def _vertex_or_lattice_offset(draw, idx):
+    """[] or a tree edge offset strictly inside the edge of a_idx."""
+    return _lattice_offset(draw, idx) if draw(st.booleans()) else ZERO
+
+
+@st.composite
+def tree_points(draw):
+    """A vertex or an edge point of a word over a1..a3 and b, on that word or a longer one."""
+    w, idx, sign = draw(_edge_bases())
+    far = _extend(draw, w.letters + ((idx, sign),), 4)
+    return TreePoint(length_vector(w) + _vertex_or_lattice_offset(draw, idx), Word._make(far, True))
+
+
+@st.composite
+def circle_points(draw):
+    idx = draw(st.sampled_from((1, 2, 3, TOP)))
+    return CirclePoint(idx, _vertex_or_lattice_offset(draw, idx))
+
+
+# tree and circle points compare as points, so the round trips compare their fields
+@given(tree_points())
+def test_tree_point_text_round_trip(p):
+    q = parse_tree_point(format_tree_point(p), OMEGA_PLUS_ONE)
+    assert (q.n, q.g) == (p.n, p.g)
+
+
+@given(circle_points())
+def test_circle_point_text_round_trip(x):
+    y = parse_circle_point(format_circle_point(x), OMEGA_PLUS_ONE)
+    assert (y.index, y.s) == (x.index, x.s)
 
 
 def test_edge_triples_and_cayley_points_never_compare_equal():

@@ -76,7 +76,7 @@ from .words import (
     length_vector,
     multiply,
     parse_cancellation,
-    parse_letter_token,
+    parse_generator,
     parse_word,
     reduce,
     subwords,
@@ -169,7 +169,7 @@ def _cmd_triple_dist(args) -> int:
 def _cmd_embed_compare(args) -> int:
     al = _alphabet(args)
     w = parse_word(args.word, al)
-    index, _ = parse_letter_token(args.letter, al)
+    index = parse_generator(args.letter, al)
     report = embed_compare(w, index, args.points)
     lines = [
         f"edge ({format_word(w) or 'identity'}, {args.letter}): "
@@ -325,7 +325,7 @@ COMMANDS = (
 
     _query("ball-letter", "letter-ball membership", in_letter_ball,
            [Pos("center", parse_word),
-            Pos("letter", lambda text, al: parse_letter_token(text, al)[0], "threshold letter a<k> or b"),
+            Pos("letter", parse_generator, "threshold letter a<k> or b"),
             Pos("word", parse_word)],
            bool, "inside"),
     _query("ball-metric", "metric-ball membership", in_metric_ball,

@@ -63,6 +63,11 @@ class _Top:
 
 TOP = _Top()
 
+# The text layer's cap, both ways: the highest letter rank a word or a vector is read or written
+# with, and the most letters parse_word reads, or subwords, top_edge_instability and ball_graph
+# build in all.
+MAX_WORD_LETTERS = 1_000_000
+
 AlphabetIndex = Union[int, _Top]
 Coord = Union[int, Fraction]
 
@@ -283,12 +288,18 @@ def _format_coord(value: Coord) -> str:
 
 
 def format_vector(x: LexVector) -> str:
-    """Text form ``[c1,c2,...]`` (trailing zeros trimmed), ``;TOP=c`` suffix."""
+    """Text form ``[c1,c2,...]`` (trailing zeros trimmed), ``;TOP=c`` suffix.
+
+    The text has one coordinate per rank up to the largest, so a rank above
+    MAX_WORD_LETTERS, which ``parse_word`` refuses too, is a ResourceLimitError.
+    """
     naturals = [(i, v) for i, v in x.entries if i is not TOP]
     top = x.get(TOP)
     parts = ""
     if naturals:
         last = naturals[-1][0]
+        if last > MAX_WORD_LETTERS:  # the rank itself is not echoed: it may be too long to print
+            raise ResourceLimitError(f"vector text is limited to ranks at most {MAX_WORD_LETTERS}")
         coords = {i: v for i, v in naturals}
         parts = ",".join(_format_coord(coords.get(i, 0)) for i in range(1, last + 1))
     suffix = f";TOP={_format_coord(top)}" if top != 0 else ""

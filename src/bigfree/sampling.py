@@ -21,7 +21,7 @@ from itertools import product
 from random import Random
 from typing import List, Optional, Tuple
 
-from .cayley import GraphPoint, ball_graph, cayley_point
+from .cayley import CayleyPoint, GraphPoint, ball_graph
 from .ordered_abelian import LexVector, ZERO
 from .tree import TreePoint
 from .triples import EdgeTriple
@@ -134,12 +134,13 @@ def random_tree_point(rng: Random, max_len: int = 12, max_index: int = 5) -> Tre
     """A point on a random edge of the interval toward a random word."""
     g = random_reduced_word(rng, max_len, max_index)
     if not g.letters:
-        return TreePoint(ZERO, g)
+        return TreePoint._make(ZERO, g)
     cut = _below(rng.getrandbits, len(g.letters) + 1)
     base = length_vector(Word._make(g.letters[:cut], True))
     if cut == len(g.letters) or rng.random() < 0.3:
-        return TreePoint(base, g)
-    return TreePoint(base + random_offset_inside(rng, g.letters[cut][0]), g)
+        return TreePoint._make(base, g)
+    # below L(prefix + next letter) <= L(g): the offset is under the next letter's unit
+    return TreePoint._make(base + random_offset_inside(rng, g.letters[cut][0]), g)
 
 
 def _edge_letter(rng: Random, w: Word, max_index: int) -> Tuple[int, int]:
@@ -155,7 +156,7 @@ def _edge_letter(rng: Random, w: Word, max_index: int) -> Tuple[int, int]:
 def random_edge_triple(rng: Random, max_len: int = 10, max_index: int = 5) -> EdgeTriple:
     w = random_reduced_word(rng, max_len, max_index)
     index, sign = _edge_letter(rng, w, max_index)
-    return EdgeTriple(w, index, sign, random_offset_inside(rng, index))
+    return EdgeTriple._make(w, index, sign, random_offset_inside(rng, index))
 
 
 def random_cayley_point(rng: Random, max_len: int = 10, max_index: int = 5) -> GraphPoint:
@@ -165,7 +166,7 @@ def random_cayley_point(rng: Random, max_len: int = 10, max_index: int = 5) -> G
     index, sign = _edge_letter(rng, w, max_index)
     bits = rng.getrandbits
     den = 2 + _below(bits, 11)
-    return cayley_point(w, index, sign, Fraction(1 + _below(bits, den - 1), den))
+    return CayleyPoint._make(w, index, sign, Fraction(1 + _below(bits, den - 1), den))  # 0 < t < 1
 
 
 def random_small_vector(rng: Random, max_index: int = 4, bound: int = 2) -> LexVector:
@@ -173,7 +174,8 @@ def random_small_vector(rng: Random, max_index: int = 4, bound: int = 2) -> LexV
         raise ValueError(f"empty range: max_index={max_index}, bound={bound}")
     bits = rng.getrandbits
     support = rng.sample(range(1, max_index + 1), _below(bits, min(3, max_index) + 1))
-    return LexVector((i, _below(bits, 2 * bound + 1) - bound) for i in support)
+    entries = [(i, _below(bits, 2 * bound + 1) - bound) for i in support]  # drawn in support order
+    return LexVector._make(tuple(sorted(e for e in entries if e[1])))
 
 
 def enumerate_reduced_words(max_len: int, max_index: int) -> List[Word]:

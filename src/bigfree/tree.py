@@ -69,6 +69,14 @@ class TreePoint:
         self.n = n
         self.g = g
 
+    @classmethod
+    def _make(cls, n: LexVector, g: Word) -> "TreePoint":
+        """A point the library built itself, with 0 <= n <= L(g) and g reduced: no recount."""
+        p = object.__new__(cls)
+        p.n = n
+        p.g = g
+        return p
+
     def __eq__(self, other):
         if not isinstance(other, TreePoint):
             return NotImplemented
@@ -83,12 +91,14 @@ class TreePoint:
         return f"TreePoint({format_tree_point(self)!r})"
 
 
-BASEPOINT = TreePoint(ZERO, IDENTITY)
+BASEPOINT = TreePoint._make(ZERO, IDENTITY)
 
 
 def word_point(g: Word) -> TreePoint:
     """The isometric embedding of a group element."""
-    return TreePoint(length_vector(g), g)
+    if not g.reduced:
+        raise BigFreeError("tree point word must be reduced")
+    return TreePoint._make(length_vector(g), g)
 
 
 def point_eq(p: TreePoint, q: TreePoint) -> bool:
@@ -124,8 +134,8 @@ def tree_act(h: Word, p: TreePoint) -> TreePoint:
     c = _count_vector(p.g.letters[:k])
     h_len = length_vector(h)
     if p.n <= c:
-        return TreePoint(h_len - p.n, h)
-    return TreePoint(h_len + p.n - c.double(), Word._make(hg, True))
+        return TreePoint._make(h_len - p.n, h)
+    return TreePoint._make(h_len + p.n - c.double(), Word._make(hg, True))
 
 
 def y_point(v: Word, x: Word, y: Word) -> Word:
@@ -180,6 +190,16 @@ class EdgePoint:
         self.index = index
         self.sign = sign
         self.t = t
+
+    @classmethod
+    def _make(cls, w: Word, index: AlphabetIndex, sign: int, t) -> "EdgePoint":
+        """A point the library built itself, already canonical with 0 < t < span: no re-check."""
+        x = object.__new__(cls)
+        x.w = w
+        x.index = index
+        x.sign = sign
+        x.t = t
+        return x
 
     def edge_letter(self) -> Tuple[AlphabetIndex, int]:
         return (self.index, self.sign)
@@ -266,8 +286,8 @@ def act_edge_point(u: Word, x):
         return multiply(u, x)
     uw = multiply(u, x.w)
     if uw.letters and uw.letters[-1] == (x.index, -x.sign):
-        return type(x)(Word._make(uw.letters[:-1], True), x.index, -x.sign, x._span(x.index) - x.t)
-    return type(x)(uw, x.index, x.sign, x.t)
+        return x._make(Word._make(uw.letters[:-1], True), x.index, -x.sign, x._span(x.index) - x.t)
+    return x._make(uw, x.index, x.sign, x.t)
 
 
 def format_edge_point(x) -> str:

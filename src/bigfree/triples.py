@@ -35,11 +35,11 @@ from .tree import (
     EdgePoint,
     TreePoint,
     act_edge_point,
-    direction_word,
     edge_point_dist,
     format_edge_point,
     parse_edge_point,
     position,
+    word_point,
 )
 from .words import (
     IDENTITY,
@@ -50,7 +50,7 @@ from .words import (
     inverse,
     letter_name,
     multiply,
-    parse_letter_token,
+    parse_generator,
     word_dist,
 )
 
@@ -104,13 +104,15 @@ def to_triple(p: TreePoint) -> TriplePoint:
             return Word._make(letters[:i + 1], True)
         diff[idx] = d + 1  # back to n - L(base)
         t = LexVector._make(tuple(sorted((j, v) for j, v in diff.items() if v)))
-        return EdgeTriple(Word._make(letters[:i], True), idx, sign, t)
+        return EdgeTriple._make(Word._make(letters[:i], True), idx, sign, t)
     raise AssertionError("offset within [0, L(g)] must be reached by some prefix")
 
 
 def from_triple(e: TriplePoint) -> TreePoint:
-    """Tree point named by canonical coordinates."""
-    return TreePoint(position(e), direction_word(e))
+    """Tree point named by canonical coordinates; a bare word must be reduced."""
+    if isinstance(e, Word):
+        return word_point(e)
+    return TreePoint._make(position(e), e.far_word())
 
 
 act_triple = act_edge_point
@@ -161,6 +163,14 @@ class CirclePoint:
         self.index = index
         self.s = s
 
+    @classmethod
+    def _make(cls, index: AlphabetIndex, s: LexVector) -> "CirclePoint":
+        """A point the library built itself, with 0 <= s < L(a): no re-check."""
+        x = object.__new__(cls)
+        x.index = index
+        x.s = s
+        return x
+
     def __eq__(self, other):
         if not isinstance(other, CirclePoint):
             return NotImplemented
@@ -180,7 +190,7 @@ class CirclePoint:
         return f"CirclePoint({format_circle_point(self)!r})"
 
 
-WEDGE = CirclePoint(1, ZERO)
+WEDGE = CirclePoint._make(1, ZERO)
 
 
 def project(e: TriplePoint) -> CirclePoint:
@@ -188,15 +198,18 @@ def project(e: TriplePoint) -> CirclePoint:
 
     Group elements form a single orbit and land on the wedge point; an edge
     point lands at offset t on its circle, read against the positive
-    orientation of the edge letter.
+    orientation of the edge letter.  Only tree points project: a graph point
+    (``CayleyPoint``) is refused.
     """
     if isinstance(e, Word):
         if not e.reduced:
             raise BigFreeError("degenerate triple word must be reduced")
         return WEDGE
+    if not isinstance(e, EdgeTriple):
+        raise BigFreeError(f"project takes an edge triple or a reduced word, not a {type(e).__name__}")
     if e.sign == 1:
-        return CirclePoint(e.index, e.t)
-    return CirclePoint(e.index, LexVector.unit(e.index) - e.t)
+        return CirclePoint._make(e.index, e.t)
+    return CirclePoint._make(e.index, LexVector.unit(e.index) - e.t)
 
 
 def circle_dist(x: CirclePoint, y: CirclePoint) -> LexVector:
@@ -236,7 +249,7 @@ def top_edge_instability(depth: int) -> List[Tuple[int, Word, TriplePoint]]:
     rows = []
     for k in range(1, depth + 1):
         w = Word._make(harmonic_word(k).letters[::-1], True)
-        rows.append((k, w, to_triple(TreePoint(top_unit, w))))
+        rows.append((k, w, to_triple(TreePoint._make(top_unit, w))))  # [] < L(b) < L(a1) <= L(w)
     return rows
 
 
@@ -258,5 +271,5 @@ def parse_circle_point(text: str, alphabet: Alphabet = OMEGA) -> CirclePoint:
     m = re.fullmatch(rf"\s*C\(({_LETTER_NAME})\)\s*@\s*(?P<s>.*)", text)
     if not m:
         raise ParseError(f"circle point must be 'C(a<k>) @ <vector>', got {text!r}")
-    idx, _ = parse_letter_token(m.group(1), alphabet)
+    idx = parse_generator(m.group(1), alphabet)
     return CirclePoint(idx, parse_vector(m.group("s").strip(), alphabet))

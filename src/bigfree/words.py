@@ -19,6 +19,7 @@ from .ordered_abelian import (
     AlphabetIndex,
     BigFreeError,
     LexVector,
+    MAX_WORD_LETTERS,
     OMEGA,
     ParseError,
     ResourceLimitError,
@@ -381,7 +382,7 @@ _TOKEN = re.compile(r"\S+")
 _LETTER_NAME = r"(?:a([1-9][0-9]*)|b)"
 _WORD_TOKEN = re.compile(_LETTER_NAME + r"(?:\^(-?[0-9]+))?")
 _LETTER_TOKEN = re.compile(_LETTER_NAME + r"(?:\^-?1)?")
-MAX_WORD_LETTERS = 1_000_000  # most letters parse_word reads, or subwords, top_edge_instability and ball_graph build in all
+_GENERATOR_TOKEN = re.compile(_LETTER_NAME)
 
 
 def letter_name(idx: AlphabetIndex) -> str:
@@ -394,6 +395,13 @@ def parse_letter_token(token: str, alphabet: Alphabet) -> Tuple[AlphabetIndex, i
     if not _LETTER_TOKEN.fullmatch(token.strip()):
         raise ParseError(f"bad letter token {token!r}")
     return parse_word(token, alphabet).letters[0]
+
+
+def parse_generator(token: str, alphabet: Alphabet) -> AlphabetIndex:
+    """Parse ``a<k>`` or ``b`` alone, with no ``^``: the index of a generator, unsigned."""
+    if not _GENERATOR_TOKEN.fullmatch(token.strip()):
+        raise ParseError(f"bad letter token {token!r}")
+    return parse_word(token, alphabet).letters[0][0]
 
 
 def _position(text: str, n: int) -> int:

@@ -208,10 +208,17 @@ _OTHER = [
     ["embed-compare", "", "a1", "--points", "100000000"],
     ["embed-compare", "a1 a1^-1", "a2"],
     ["embed-compare", "a1", "a2^2"],
+    # the letter of embed-compare and ball-letter is a generator, with no sign or power
+    ["embed-compare", "", "a3^-1"],
+    ["embed-compare", "", "a3^1"],
+    ["embed-compare", "", "a3^2"],
     ["ball-letter", "a1 a1^-1", "a3", "a1"],
     ["ball-letter", "a1", "c", "a1"],
     # the arguments are read in order, so the first malformed one is reported
     ["ball-letter", "a1 x", "c", "a1"],
+    ["ball-letter", "a1", "a3^-1", "a1 a5"],
+    ["ball-letter", "a1", "a3^1", "a1 a5"],
+    ["ball-letter", "a1", "a3^2", "a1 a5"],
     ["ball-metric", "", "[]", "a1"],
     ["ball-metric", "", "[-1]", "a1"],
     ["ball-metric", "", "[x]", "a1"],

@@ -11,6 +11,7 @@ from bigfree.ordered_abelian import (
     BigFreeError,
     HalfError,
     LexVector,
+    MAX_WORD_LETTERS,
     OMEGA,
     OMEGA_PLUS_ONE,
     ParseError,
@@ -22,6 +23,7 @@ from bigfree.ordered_abelian import (
     parse_vector,
     read_number,
 )
+from bigfree import words
 from bigfree.sampling import random_small_vector
 
 from helpers import vec
@@ -134,6 +136,17 @@ def test_format_examples():
     assert format_vector(LexVector({1: Fraction(1, 2)})) == "[1/2]"
     assert format_vector(LexVector.unit(TOP)) == "[;TOP=1]"
     assert format_vector(vec(1, 0, 2, top=-1)) == "[1,0,2;TOP=-1]"
+
+
+def test_vector_text_stops_at_the_letter_rank_cap():
+    # the text has one coordinate per rank up to the largest: the cap parse_word reads ranks under
+    assert words.MAX_WORD_LETTERS is MAX_WORD_LETTERS == 1_000_000
+    assert format_vector(LexVector.unit(MAX_WORD_LETTERS, -1)).endswith(",0,-1]")
+    for x in (LexVector.unit(MAX_WORD_LETTERS + 1), LexVector.unit(10**11), LexVector.unit(10**5000),
+              LexVector([(1, 1), (2_000_000, 3), (TOP, 2)])):
+        with pytest.raises(ResourceLimitError) as info:
+            str(x)
+        assert str(info.value) == "vector text is limited to ranks at most 1000000"  # the rank is not echoed
 
 
 def test_parse_format_roundtrip():

@@ -1,5 +1,6 @@
 """Tree points, metric, action, the length-function axiom checker, edge points."""
 
+import signal
 from fractions import Fraction
 from random import Random
 
@@ -7,9 +8,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bigfree.tree
-from bigfree.cayley import CayleyPoint, cayley_point, format_cayley_point, parse_cayley_point
-from bigfree.ordered_abelian import OMEGA_PLUS_ONE, TOP, BigFreeError, LexVector, ZERO
-from bigfree.sampling import enumerate_reduced_words, random_reduced_word, random_tree_point
+from bigfree.cayley import CayleyPoint, cayley_act, cayley_point, format_cayley_point, parse_cayley_point
+from bigfree.ordered_abelian import OMEGA_PLUS_ONE, TOP, BigFreeError, LexVector, ResourceLimitError, ZERO
+from bigfree.sampling import (
+    enumerate_reduced_words,
+    random_cayley_point,
+    random_edge_triple,
+    random_reduced_word,
+    random_small_vector,
+    random_tree_point,
+)
 from bigfree.tree import (
     BASEPOINT,
     LengthOracle,
@@ -30,12 +38,18 @@ from bigfree.tree import (
     y_point,
 )
 from bigfree.triples import (
+    WEDGE,
     CirclePoint,
     EdgeTriple,
+    act_triple,
     format_circle_point,
     format_triple,
+    from_triple,
     parse_circle_point,
     parse_triple,
+    project,
+    to_triple,
+    top_edge_instability,
 )
 from bigfree.words import (
     IDENTITY,
@@ -89,6 +103,23 @@ def test_point_validation():
         TreePoint(-vec(1), W("a1"))
     with pytest.raises(BigFreeError):
         TreePoint(vec(1), W("a1 a1^-1"))
+    with pytest.raises(BigFreeError, match="reduced"):
+        word_point(W("a1 a1^-1"))
+
+
+def test_an_offset_past_the_text_cap_is_refused_in_bounded_time():
+    """The refusal's message would format one coordinate per rank up to 10**11."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ResourceLimitError):
+            TreePoint(LexVector.unit(10**11), IDENTITY)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- metric -----------------------------------------------------------------------
@@ -574,3 +605,68 @@ def test_tree_act_equals_the_gromov_formula(pair):
     h, p = pair
     got, expected = tree_act(h, p), _tree_act_by_gromov(h, p)
     assert (got.n, got.g) == (expected.n, expected.g)
+
+
+# -- the trusted route: what the library builds, its public constructors accept ------
+
+_FIELDS = {TreePoint: ("n", "g"), EdgeTriple: ("w", "index", "sign", "t"),
+           CayleyPoint: ("w", "index", "sign", "t"), CirclePoint: ("index", "s")}
+
+
+def _rebuilt(x):
+    """x rebuilt through the validating public constructors, each field first."""
+    if isinstance(x, LexVector):
+        return LexVector(x.entries)
+    if isinstance(x, Word):
+        return Word(x.letters)
+    if type(x) in _FIELDS:
+        return type(x)(*(_rebuilt(getattr(x, name)) for name in _FIELDS[type(x)]))
+    return x  # an index, a sign or a rational offset
+
+
+def _fields(x):
+    """What two builds of one value share: each field with its type, recursively."""
+    if isinstance(x, LexVector):
+        return tuple((i, type(v), v) for i, v in x.entries)
+    if isinstance(x, Word):
+        return x.letters, x.reduced
+    if type(x) in _FIELDS:
+        return type(x), tuple(_fields(getattr(x, name)) for name in _FIELDS[type(x)])
+    return type(x), x
+
+
+def _assert_public_constructor_accepts(x):
+    assert _fields(_rebuilt(x)) == _fields(x)
+
+
+@st.composite
+def _trusted_inputs(draw):
+    """Points of each kind, a word that cancels part of each, and a sampler seed."""
+    p = draw(tree_points())
+    e = draw(edge_triples())
+    x = draw(cayley_points())
+    u = Word._make(_extend(draw, (), 8), True)
+    return p, e, x, u, draw(_actions()), draw(st.integers(0, 2**32))
+
+
+@given(_trusted_inputs())
+@example((BASEPOINT, EdgeTriple(IDENTITY, 1, -1, vec(0, 1)), CayleyPoint(IDENTITY, 1, -1, Fraction(1, 3)),
+          W("a1"), (W("a1 a2"), P((0, 1), "a2^-1 a1^-1")), 0))  # the edge letter flips
+def test_every_trusted_output_passes_its_public_constructor(inputs):
+    p, e, x, u, (h, q), seed = inputs
+    outputs = [tree_act(h, q), tree_act(u, p), word_point(u), to_triple(p), to_triple(q),
+               from_triple(e), from_triple(to_triple(p)), project(e), project(to_triple(q))]
+    for v in (u, multiply(u, inverse(e.far_word())), multiply(u, inverse(x.far_word()))):
+        # the last two end u w in the inverse edge letter unless u ends in it, so the sign flips
+        moved = act_triple(v, e)
+        outputs += [moved, project(moved), from_triple(moved), cayley_act(v, x)]
+    rng = Random(seed)
+    outputs += [random_tree_point(rng), random_edge_triple(rng), random_cayley_point(rng),
+                random_small_vector(rng), to_triple(random_tree_point(rng))]
+    for out in outputs:
+        _assert_public_constructor_accepts(out)
+
+
+def test_the_trusted_constants_and_the_omega_plus_one_rows_pass_their_public_constructors():
+    for out in (BASEPOINT, WEDGE, *(coords for _, _, coords in top_edge_instability(6))):
+        _assert_public_constructor_accepts(out)

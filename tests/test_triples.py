@@ -1,5 +1,6 @@
 """Edge coordinates: extraction, uniqueness, action, distance, quotient."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -12,7 +13,8 @@ from bigfree.sampling import (
     random_reduced_word,
     random_tree_point,
 )
-from bigfree.tree import TreePoint, point_eq, tree_act, tree_dist
+from bigfree.cayley import CayleyPoint
+from bigfree.tree import BASEPOINT, TreePoint, point_eq, tree_act, tree_dist
 from bigfree.triples import (
     CirclePoint,
     EdgeTriple,
@@ -145,6 +147,8 @@ def test_from_triple_examples():
         EdgeTriple(W("a1^-1"), 1, 1, vec(0, 1))  # base ends in the inverse letter
     with pytest.raises(BigFreeError, match="edge sign"):
         EdgeTriple(IDENTITY, 1, 2, vec(0, 1))
+    with pytest.raises(BigFreeError, match="reduced"):
+        from_triple(W("a1 a1^-1"))  # a bare word names a point only when reduced
 
 
 def test_act_triple_examples():
@@ -229,6 +233,9 @@ def test_project_examples():
     assert orbit_witness(W("a1"), e) is None and orbit_witness(e, IDENTITY) is None
     with pytest.raises(BigFreeError, match="reduced"):
         project(W("a1 a1^-1"))
+    for x in (CayleyPoint(IDENTITY, 1, 1, Fraction(1, 2)), BASEPOINT):  # only tree edge points project
+        with pytest.raises(BigFreeError, match="^project takes an edge triple or a reduced word, not a "):
+            project(x)
 
 
 def test_words_all_project_to_the_wedge():

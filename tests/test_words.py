@@ -40,6 +40,7 @@ from bigfree.words import (
     letter,
     letter_name,
     multiply,
+    parse_generator,
     parse_letter_token,
     parse_word,
     reduce,
@@ -104,6 +105,21 @@ def test_letter_ranks_stop_at_the_word_letter_cap():
             with pytest.raises(ResourceLimitError) as info:
                 parse(text)
             assert str(info.value) == "letter rank must be at most 1000000"  # the rank is not echoed
+
+
+def test_a_generator_is_read_with_no_sign():
+    # the letter argument of ball-letter and embed-compare; edge-point text keeps its signed letter
+    assert parse_generator("a3", OMEGA) == 3
+    assert parse_generator(" a1000000 ", OMEGA) == 1_000_000
+    assert parse_generator("b", OMEGA_PLUS_ONE) is TOP
+    for text in ("a3^-1", "a3^1", "a3^2", "b^-1", "a3 a4", "", "c"):
+        with pytest.raises(ParseError, match="^bad letter token"):
+            parse_generator(text, OMEGA_PLUS_ONE)
+    with pytest.raises(BigFreeError, match="TOP letter"):
+        parse_generator("b", OMEGA)
+    with pytest.raises(ResourceLimitError, match="letter rank must be at most 1000000"):
+        parse_generator("a1000001", OMEGA)
+    assert parse_letter_token("a3^-1", OMEGA) == (3, -1)
 
 
 def test_format_roundtrip_is_canonical():

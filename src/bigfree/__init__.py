@@ -10,13 +10,10 @@ plus a CLI and seeded property suites.
 
 from .ordered_abelian import (
     TOP,
-    Alphabet,
     AlphabetIndex,
     BigFreeError,
     HalfError,
     LexVector,
-    OMEGA,
-    OMEGA_PLUS_ONE,
     ParseError,
     ZERO,
     format_vector,

@@ -22,11 +22,9 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .ordered_abelian import (
     TOP,
-    Alphabet,
     AlphabetIndex,
     BigFreeError,
     LexVector,
-    OMEGA,
     ParseError,
     ResourceLimitError,
     ZERO,
@@ -279,6 +277,5 @@ def _parse_t(text: str) -> Union[int, Fraction]:
             f"bad edge parameter {text!r} (want a rational p/q with q nonzero, or a decimal)") from None
 
 
-def parse_cayley_point(text: str, alphabet: Alphabet = OMEGA) -> GraphPoint:
-    return parse_edge_point(
-        text, alphabet, lambda w, idx, sign, t: cayley_point(w, idx, sign, _parse_t(t)))
+def parse_cayley_point(text: str) -> GraphPoint:
+    return parse_edge_point(text, lambda w, idx, sign, t: cayley_point(w, idx, sign, _parse_t(t)))

@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 domain error (bad values, non-canonical input),
 2 usage error, 3 internal error (an exception that is not a domain error,
 reported as one line without a traceback); ``suite`` and ``axioms-check``
 also exit 1 when a check fails.  Every query subcommand takes
-``--json`` for machine-readable output and ``--alphabet omega|omega+1`` to
-select the index-set instance; all values are printed in the exact text
-grammars of the library.
+``--json`` for machine-readable output.  Every grammar reads the omega+1
+letter ``b`` and the vector suffix ``;TOP=c``; an input without them is an
+omega input and gets the same answer.  All values are printed in the exact
+text grammars of the library.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .cayley import (
     parse_cayley_point,
 )
 from .ordered_abelian import (
-    OMEGA,
-    OMEGA_PLUS_ONE,
     BigFreeError,
     ResourceLimitError,
     format_vector,
@@ -93,13 +92,6 @@ def _emit(args, text: str, payload) -> int:
     return 0
 
 
-ALPHABETS = {"omega": OMEGA, "omega+1": OMEGA_PLUS_ONE}  # the --alphabet choices
-
-
-def _alphabet(args):
-    return ALPHABETS[args.alphabet]
-
-
 def integer(text: str) -> int:
     """An integer option: ``read_number``, with its refusals as argparse usage errors.
 
@@ -115,13 +107,13 @@ def integer(text: str) -> int:
 # -- handlers of the commands that are not one formatted value ----------------------
 
 def _cmd_subwords(args) -> int:
-    items = subwords(parse_word(args.word, _alphabet(args)))
+    items = subwords(parse_word(args.word))
     text = "\n".join(format_word(v) for v in items)
     return _emit(args, text, {"subwords": [format_word(v) for v in items]})
 
 
 def _cmd_cancel_verify(args) -> int:
-    w = parse_word(args.word, _alphabet(args))
+    w = parse_word(args.word)
     c = parse_cancellation(args.pairs)
     check = verify_cancellation(w, c)
     if check.ok:
@@ -151,8 +143,7 @@ def _cmd_axioms_check(args) -> int:
 
 
 def _cmd_triple_dist(args) -> int:
-    al = _alphabet(args)
-    report = triple_dist_report(parse_triple(args.left, al), parse_triple(args.right, al))
+    report = triple_dist_report(parse_triple(args.left), parse_triple(args.right))
     if report.simplified is None:
         comparison = "simplified-formula: n/a (degenerate endpoint)"
     else:
@@ -167,9 +158,8 @@ def _cmd_triple_dist(args) -> int:
 
 
 def _cmd_embed_compare(args) -> int:
-    al = _alphabet(args)
-    w = parse_word(args.word, al)
-    index = parse_generator(args.letter, al)
+    w = parse_word(args.word)
+    index = parse_generator(args.letter)
     report = embed_compare(w, index, args.points)
     lines = [
         f"edge ({format_word(w) or 'identity'}, {args.letter}): "
@@ -187,8 +177,7 @@ def _cmd_embed_compare(args) -> int:
 
 
 def _cmd_ball(args) -> int:
-    al = _alphabet(args)
-    center = parse_word(args.center, al)
+    center = parse_word(args.center)
     graph = ball_graph(center, args.max_len, args.max_letter, cap=args.cap)
     sys.stdout.write(ball_json(graph) if args.as_json else ball_dot(graph))
     return 0
@@ -240,7 +229,7 @@ class Command(NamedTuple):
 
 
 class Pos(NamedTuple):
-    """Positional argument of a query: its name, its grammar ``parse(text, alphabet)``, its help."""
+    """Positional argument of a query: its name, its grammar ``parse(text)``, its help."""
 
     name: str
     parse: Callable
@@ -254,8 +243,7 @@ def _query(name: str, help_text: str, op: Callable, params, fmt: Callable, key: 
     returned.  A ``fmt`` value that is not a string prints as its JSON text.
     """
     def run(args) -> int:
-        al = _alphabet(args)
-        value = fmt(op(*(p.parse(getattr(args, p.name), al) for p in params)))
+        value = fmt(op(*(p.parse(getattr(args, p.name)) for p in params)))
         return _emit(args, value if isinstance(value, str) else json.dumps(value), {key: value})
 
     return Command(name, help_text, run, tuple(_arg(p.name, help=p.help) for p in params))
@@ -356,14 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="<command>")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alphabet", choices=ALPHABETS, default="omega",
-                        help="index-set instance (default omega)")
     query = argparse.ArgumentParser(add_help=False)
     query.add_argument("--json", action="store_true", help="machine-readable output")
 
     for cmd in COMMANDS:
-        p = sub.add_parser(cmd.name, parents=[common, query] if cmd.json_flag else [common], help=cmd.help)
+        p = sub.add_parser(cmd.name, parents=[query] if cmd.json_flag else [], help=cmd.help)
         p.set_defaults(func=cmd.run)
         _add_arguments(p, cmd.args)
     return parser

@@ -1,17 +1,18 @@
 """Exact lexicographically ordered vectors over a well-ordered index set.
 
-The index set is either the natural ranks 1, 2, 3, ... (the omega instance)
-or the ranks plus one distinguished index TOP sitting above all of them (the
-omega+1 instance).  A LexVector is a finitely supported map from indices to
-exact coordinates (int, or Fraction for the rational variant), compared by
-the first differing coordinate.  All values are immutable and all operations
+The index set is the natural ranks 1, 2, 3, ... plus one distinguished
+index TOP sitting above all of them (omega+1).  The omega instance is the
+vectors whose TOP coordinate is 0, so it needs no index set of its own.  A
+LexVector is a finitely supported map from indices to exact coordinates
+(int, or Fraction for the rational variant), compared by the first
+differing coordinate.  All values are immutable and all operations
 are pure.  ``read_number`` reads every number a user types, in every grammar.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import Iterable, Mapping, Union
 
 
 class BigFreeError(ValueError):
@@ -79,21 +80,6 @@ def check_index(idx: AlphabetIndex) -> None:
     if isinstance(idx, int) and not isinstance(idx, bool) and idx >= 1:
         return
     raise BigFreeError(f"invalid alphabet index {idx!r}")
-
-
-class Alphabet(NamedTuple):
-    """Index-set instance: ranks 1,2,3,... with or without the TOP letter."""
-
-    has_top: bool
-
-    def check_index(self, idx: AlphabetIndex) -> None:
-        check_index(idx)
-        if idx is TOP and not self.has_top:
-            raise BigFreeError("TOP letter is not part of the omega alphabet")
-
-
-OMEGA = Alphabet(False)
-OMEGA_PLUS_ONE = Alphabet(True)
 
 
 def _norm_coord(value: Coord) -> Coord:
@@ -165,12 +151,7 @@ class LexVector:
         return 1 if self.entries[0][1] > 0 else -1
 
     def compare(self, other: "LexVector") -> int:
-        """-1, 0 or 1 by the first differing coordinate.
-
-        Both vectors must live over the same index-set instance; that is a
-        caller obligation (a configuration error otherwise) and is enforced
-        at the parsing boundary.
-        """
+        """-1, 0 or 1 by the first differing coordinate."""
         a, b = self.entries, other.entries
         i = j = 0
         while i < len(a) and j < len(b):
@@ -336,7 +317,7 @@ def _parse_coord(text: str, where: str) -> Coord:
             f"bad coordinate {text!r} in {where} (want an integer or p/q with q nonzero)") from None
 
 
-def parse_vector(text: str, alphabet: Alphabet = OMEGA) -> LexVector:
+def parse_vector(text: str) -> LexVector:
     """Parse the ``[c1,c2,...;TOP=c]`` form."""
     raw = text.strip()
     if not (raw.startswith("[") and raw.endswith("]")):
@@ -350,6 +331,5 @@ def parse_vector(text: str, alphabet: Alphabet = OMEGA) -> LexVector:
     if rest:
         if not rest.startswith("TOP="):
             raise ParseError(f"expected TOP=<c> after ';' in {text!r}")
-        alphabet.check_index(TOP)
         entries.append((TOP, _parse_coord(rest[len("TOP="):], text)))
     return LexVector(entries)

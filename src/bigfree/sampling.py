@@ -1,7 +1,7 @@
 """Seeded sample generators shared by the property suites and the tests.
 
 Stream contract: every sample, and the generator state after it, is that of
-the sampler's ``randint``/``choice`` formulation.  CPython (3.10-3.12) makes
+the sampler's ``randint``/``choice`` formulation.  CPython (3.10-3.13) makes
 ``randint(a, b)`` as ``a + _randbelow(b - a + 1)`` and ``choice(s)`` as
 ``s[_randbelow(len(s))]``, and ``_randbelow(n)`` repeats ``getrandbits(k)``,
 ``k = n.bit_length()``, until the result is below ``n``.  Every bounded

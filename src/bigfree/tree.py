@@ -21,12 +21,10 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 from .ordered_abelian import (
-    Alphabet,
     AlphabetIndex,
     BigFreeError,
     HalfError,
     LexVector,
-    OMEGA,
     ParseError,
     ZERO,
     check_index,
@@ -154,12 +152,11 @@ def format_tree_point(p: TreePoint) -> str:
     return f"{p.n} @ {format_word(p.g)}"
 
 
-def parse_tree_point(text: str, alphabet: Alphabet = OMEGA) -> TreePoint:
+def parse_tree_point(text: str) -> TreePoint:
     if "@" not in text:
         raise ParseError(f"tree point must look like '<vector> @ <word>', got {text!r}")
     vec_part, word_part = text.split("@", 1)
-    n = parse_vector(vec_part.strip(), alphabet)
-    return TreePoint(n, parse_word(word_part.strip(), alphabet))
+    return TreePoint(parse_vector(vec_part.strip()), parse_word(word_part.strip()))
 
 
 # -- edge points -----------------------------------------------------------------
@@ -257,8 +254,12 @@ def edge_point_dist(x, y) -> LexVector:
     its base word's letters past k plus its offset; otherwise its far word
     ends at the branch point and it sits ``back`` before it.  No L(w) and
     no prefix is counted.  ``interval_dist`` on ``position`` and
-    ``direction_word`` is the oracle.
+    ``direction_word`` is the oracle.  Edge points of two models (a tree
+    ``EdgeTriple`` and a graph ``CayleyPoint``) are refused.
     """
+    if type(x) is not type(y) and not (isinstance(x, Word) or isinstance(y, Word)):
+        raise BigFreeError(
+            f"a distance takes points of one model, got {type(x).__name__} and {type(y).__name__}")
     wx, fx, ox = _base_far_offset(x)
     wy, fy, oy = _base_far_offset(y)
     k = _prefix_len(fx, fy)
@@ -297,11 +298,11 @@ def format_edge_point(x) -> str:
     return f"({format_word(x.w)} ; {letter_name(x.index)}^{x.sign} ; {x.t})"
 
 
-def parse_edge_point(text: str, alphabet: Alphabet, build: Callable):
+def parse_edge_point(text: str, build: Callable):
     """Inverse of ``format_edge_point``: a reduced bare word, or build(w, index, sign, offset text)."""
     raw = text.strip()
     if not raw.startswith("("):
-        w = parse_word(raw, alphabet)
+        w = parse_word(raw)
         if not w.reduced:
             raise BigFreeError("bare-word point must be reduced")
         return w
@@ -309,8 +310,8 @@ def parse_edge_point(text: str, alphabet: Alphabet, build: Callable):
     parts = raw[1:-1].split(";", 2) if raw.endswith(")") else ()
     if len(parts) != 3:
         raise BigFreeError(f"edge point must be '(<word> ; a<k>^<p> ; <offset>)', got {text!r}")
-    w = parse_word(parts[0].strip(), alphabet)
-    idx, sign = parse_letter_token(parts[1], alphabet)
+    w = parse_word(parts[0].strip())
+    idx, sign = parse_letter_token(parts[1])
     return build(w, idx, sign, parts[2].strip())
 
 

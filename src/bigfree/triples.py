@@ -20,11 +20,9 @@ from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .ordered_abelian import (
     TOP,
-    Alphabet,
     AlphabetIndex,
     BigFreeError,
     LexVector,
-    OMEGA,
     ParseError,
     ResourceLimitError,
     ZERO,
@@ -109,9 +107,14 @@ def to_triple(p: TreePoint) -> TriplePoint:
 
 
 def from_triple(e: TriplePoint) -> TreePoint:
-    """Tree point named by canonical coordinates; a bare word must be reduced."""
+    """Tree point named by canonical coordinates; a bare word must be reduced.
+
+    Only tree coordinates name a tree point: a graph point (``CayleyPoint``) is refused.
+    """
     if isinstance(e, Word):
         return word_point(e)
+    if not isinstance(e, EdgeTriple):
+        raise BigFreeError(f"from_triple takes an edge triple or a reduced word, not a {type(e).__name__}")
     return TreePoint._make(position(e), e.far_word())
 
 
@@ -258,18 +261,16 @@ def top_edge_instability(depth: int) -> List[Tuple[int, Word, TriplePoint]]:
 format_triple = format_edge_point
 
 
-def parse_triple(text: str, alphabet: Alphabet = OMEGA) -> TriplePoint:
-    return parse_edge_point(
-        text, alphabet, lambda w, idx, sign, t: EdgeTriple(w, idx, sign, parse_vector(t, alphabet)))
+def parse_triple(text: str) -> TriplePoint:
+    return parse_edge_point(text, lambda w, idx, sign, t: EdgeTriple(w, idx, sign, parse_vector(t)))
 
 
 def format_circle_point(x: CirclePoint) -> str:
     return f"C({letter_name(x.index)}) @ {x.s}"
 
 
-def parse_circle_point(text: str, alphabet: Alphabet = OMEGA) -> CirclePoint:
+def parse_circle_point(text: str) -> CirclePoint:
     m = re.fullmatch(rf"\s*C\(({_LETTER_NAME})\)\s*@\s*(?P<s>.*)", text)
     if not m:
         raise ParseError(f"circle point must be 'C(a<k>) @ <vector>', got {text!r}")
-    idx = parse_generator(m.group(1), alphabet)
-    return CirclePoint(idx, parse_vector(m.group("s").strip(), alphabet))
+    return CirclePoint(parse_generator(m.group(1)), parse_vector(m.group("s").strip()))

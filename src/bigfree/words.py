@@ -15,12 +15,10 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .ordered_abelian import (
     TOP,
-    Alphabet,
     AlphabetIndex,
     BigFreeError,
     LexVector,
     MAX_WORD_LETTERS,
-    OMEGA,
     ParseError,
     ResourceLimitError,
     check_index,
@@ -390,18 +388,18 @@ def letter_name(idx: AlphabetIndex) -> str:
     return "b" if idx is TOP else f"a{idx}"
 
 
-def parse_letter_token(token: str, alphabet: Alphabet) -> Tuple[AlphabetIndex, int]:
+def parse_letter_token(token: str) -> Tuple[AlphabetIndex, int]:
     """Parse ``a<k>``/``b`` with optional ``^1``/``^-1``: a word of one letter."""
     if not _LETTER_TOKEN.fullmatch(token.strip()):
         raise ParseError(f"bad letter token {token!r}")
-    return parse_word(token, alphabet).letters[0]
+    return parse_word(token).letters[0]
 
 
-def parse_generator(token: str, alphabet: Alphabet) -> AlphabetIndex:
+def parse_generator(token: str) -> AlphabetIndex:
     """Parse ``a<k>`` or ``b`` alone, with no ``^``: the index of a generator, unsigned."""
     if not _GENERATOR_TOKEN.fullmatch(token.strip()):
         raise ParseError(f"bad letter token {token!r}")
-    return parse_word(token, alphabet).letters[0][0]
+    return parse_word(token).letters[0][0]
 
 
 def _position(text: str, n: int) -> int:
@@ -409,7 +407,7 @@ def _position(text: str, n: int) -> int:
     return [m.start() for m in _TOKEN.finditer(text)][n] + 1
 
 
-def parse_word(text: str, alphabet: Alphabet = OMEGA) -> Word:
+def parse_word(text: str) -> Word:
     """Parse ``a<k>``/``a<k>^<e>`` tokens (``b`` = TOP letter); no reduction.
 
     Raises ResourceLimitError before the word would pass MAX_WORD_LETTERS,
@@ -422,7 +420,6 @@ def parse_word(text: str, alphabet: Alphabet = OMEGA) -> Word:
             raise ParseError(f"bad token {token!r} at position {_position(text, n)}")
         k, e = tm.groups()
         if k is None:
-            alphabet.check_index(TOP)
             idx: AlphabetIndex = TOP
         else:
             idx = read_number(k)  # the token grammar admits only ranks >= 1
@@ -435,7 +432,7 @@ def parse_word(text: str, alphabet: Alphabet = OMEGA) -> Word:
             raise ResourceLimitError(f"word would exceed {MAX_WORD_LETTERS} letters")
         letters += [(idx, 1 if exp > 0 else -1)] * abs(exp)
     letters = tuple(letters)
-    return Word._make(letters, _is_reduced(letters))  # the token grammar and alphabet checked each letter
+    return Word._make(letters, _is_reduced(letters))  # the token grammar checked each letter
 
 
 def format_word(w: Word) -> str:

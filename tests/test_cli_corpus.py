@@ -31,20 +31,20 @@ _ANSWERED = [
     ["reduce", "a1 a1^-1 a2"],
     ["reduce", ""],
     ["reduce", "a3^2 a1 a1^-1 a3^-2"],
-    ["reduce", "b b^-1 a1", "--alphabet", "omega+1"],
+    ["reduce", "b b^-1 a1"],
     ["mul", "a1 a2", "a2^-1 a1"],
     ["mul", "a1^3 a2", "a2^-1 a1^-3"],
-    ["mul", "b a1", "a2 b^-1", "--alphabet", "omega+1"],
+    ["mul", "b a1", "a2 b^-1"],
     ["inv", "a1 a2^-1"],
     ["inv", ""],
     ["len", "a1 a2 a1^-1"],
     ["len", ""],
-    ["len", "a1 b^2 a4", "--alphabet", "omega+1"],
+    ["len", "a1 b^2 a4"],
     ["dist", "a1 a2", "a1 a3"],
     ["dist", "a5", "a5"],
     ["gromov", "a1 a2", "a1 a3"],
     ["gromov", "a2 a1^-1", "a1"],
-    ["gromov", "b a1 a2", "b a1 a3", "--alphabet", "omega+1"],
+    ["gromov", "b a1 a2", "b a1 a3"],
     ["prefix", "a1 a2", "a1 a3"],
     ["prefix", "a2", "a1"],
     ["subwords", "a2 a1"],
@@ -74,10 +74,11 @@ _ANSWERED = [
     ["to-triple", "[1] @ a2 a1"],
     ["to-triple", "[1] @ a1"],
     ["to-triple", "[0,2,1] @ a2^3"],
-    ["to-triple", "[;TOP=1] @ a2 a1", "--alphabet", "omega+1"],
+    ["to-triple", "[;TOP=1] @ a2 a1"],
     ["from-triple", "(a2 ; a1^1 ; [1,-1])"],
     ["from-triple", "a1 a2"],
     ["from-triple", "( ; a3^-1 ; [0,0,0,1])"],
+    ["from-triple", "( ; a3^1 ; [;TOP=1])"],  # a row of the omega+1 demo, read back
     ["triple-act", "a1", "( ; a1^-1 ; [0,1])"],
     ["triple-act", "a2", "(a1 ; a3^1 ; [0,0,0,1])"],
     ["triple-act", "a1^-1", "a1 a2"],
@@ -100,10 +101,10 @@ _ANSWERED = [
     ["embed-compare", "a2", "a1"],
     ["embed-compare", "", "a1", "--points", "10"],
     ["embed-compare", "a1", "a3", "--points", "7"],
-    ["embed-compare", "", "b", "--points", "4", "--alphabet", "omega+1"],
+    ["embed-compare", "", "b", "--points", "4"],
     ["ball-letter", "a1", "a3", "a1 a5"],
     ["ball-letter", "a1", "a3", "a1 a2"],
-    ["ball-letter", "", "b", "a2", "--alphabet", "omega+1"],
+    ["ball-letter", "", "b", "a2"],
     ["ball-metric", "", "[1]", "a2^3 a5"],
     ["ball-metric", "", "[0,1]", "a2"],
     ["ball-metric", "a1", "[0,2]", "a1 a3^2"],
@@ -136,11 +137,12 @@ _OTHER = [
     # refused past MAX_SUITE_SAMPLES, before any property runs
     ["suite", "--samples", "100001"],
     ["suite", "--samples", "1000000000"],
+    # the omega+1 letter b and vector suffix ;TOP= are read by every command
     ["reduce", "b b^-1"],
     ["reduce", "a1 q"],
     ["reduce", "a0"],
     ["reduce", "a1^0"],
-    ["reduce", "a1", "--alphabet", "omega+1", "--json"],
+    ["reduce", "a1", "--json"],
     ["len", "a1^1000001"],
     ["len", "a1^500001 a2^500001"],
     # a letter rank past MAX_WORD_LETTERS is refused as it is read, before any vector
@@ -248,7 +250,12 @@ _OTHER = [
     ["ball", "1", "3"],
     ["ball", "1", "3", "--dot", "--json"],
     ["demo", "other"],
+    # the index set is omega+1 everywhere, so no command takes --alphabet
+    ["reduce", "a1", "--alphabet", "omega+1"],
     ["reduce", "a1", "--alphabet", "omega+2"],
+    ["reduce", "a1", "--alphabet", "omega"],
+    ["demo", "omega-plus-one", "--alphabet", "omega"],
+    ["suite", "--alphabet", "omega+1"],
     ["axioms-check", "--max-len", "x"],
     ["embed-compare", "", "a1", "--points", "1_0"],
     ["ball", "\u0661", "\u0662", "--dot"],

@@ -12,8 +12,6 @@ from bigfree.ordered_abelian import (
     HalfError,
     LexVector,
     MAX_WORD_LETTERS,
-    OMEGA,
-    OMEGA_PLUS_ONE,
     ParseError,
     ResourceLimitError,
     TOP,
@@ -155,19 +153,17 @@ def test_parse_format_roundtrip():
         x = random_small_vector(rng, 6, 7)
         assert parse_vector(format_vector(x)) == x
     y = vec(2, -3, top=5)
-    assert parse_vector(format_vector(y), OMEGA_PLUS_ONE) == y
+    assert parse_vector(format_vector(y)) == y
 
 
 _COORDS = st.one_of(st.integers(), st.fractions())
 
 
-@given(st.lists(_COORDS, max_size=6), _COORDS, st.booleans())
-@example([], 0, False)  # the zero vector under both alphabets
-@example([], 0, True)
-def test_vector_text_round_trips(coords, top, with_top):
-    alphabet = OMEGA_PLUS_ONE if with_top else OMEGA
-    x = vec(*coords, top=top if with_top else 0)
-    assert parse_vector(format_vector(x), alphabet) == x
+@given(st.lists(_COORDS, max_size=6), _COORDS)
+@example([], 0)  # the zero vector
+def test_vector_text_round_trips(coords, top):
+    x = vec(*coords, top=top)
+    assert parse_vector(format_vector(x)) == x
 
 
 def test_read_number_takes_ascii_digits_an_optional_minus_and_p_over_q_where_allowed():
@@ -200,10 +196,9 @@ def test_parse_rejects_malformed():
     with pytest.raises(ParseError):
         parse_vector("[1.5]")
     with pytest.raises(ParseError, match="expected TOP=<c>"):
-        parse_vector("[1;x]", OMEGA_PLUS_ONE)
-    with pytest.raises(BigFreeError):
-        parse_vector("[1;TOP=2]", OMEGA)  # TOP is an omega+1 feature
-    assert parse_vector("[1;TOP=2]", OMEGA_PLUS_ONE) == vec(1, top=2)
+        parse_vector("[1;x]")
+    assert parse_vector("[1;TOP=2]") == vec(1, top=2)
+    assert parse_vector("[;TOP=1/2]") == vec(top=Fraction(1, 2))
 
 
 def test_min_and_sorting_work_through_rich_comparisons():

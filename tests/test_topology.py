@@ -44,13 +44,10 @@ def test_balls_require_reduced_words():
 
 
 def test_top_threshold_admits_only_the_center():
-    from bigfree.ordered_abelian import OMEGA_PLUS_ONE
-    from bigfree.words import parse_word as pw
-
     w = W("a1")
     assert in_letter_ball(w, TOP, w)
     assert not in_letter_ball(w, TOP, W("a1 a7"))
-    assert not in_letter_ball(w, TOP, pw("a1 b", OMEGA_PLUS_ONE))
+    assert not in_letter_ball(w, TOP, W("a1 b"))
 
 
 def test_unit_radius_ball_equals_letter_ball():

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import bigfree.tree
-from bigfree.cayley import CayleyPoint, cayley_act, cayley_point, format_cayley_point, parse_cayley_point
-from bigfree.ordered_abelian import OMEGA_PLUS_ONE, TOP, BigFreeError, LexVector, ResourceLimitError, ZERO
+from bigfree.cayley import (
+    CayleyPoint, cayley_act, cayley_dist, cayley_point, format_cayley_point, parse_cayley_point,
+)
+from bigfree.ordered_abelian import TOP, BigFreeError, LexVector, ResourceLimitError, ZERO
 from bigfree.sampling import (
     enumerate_reduced_words,
     random_cayley_point,
@@ -50,6 +52,7 @@ from bigfree.triples import (
     project,
     to_triple,
     top_edge_instability,
+    triple_dist,
 )
 from bigfree.words import (
     IDENTITY,
@@ -451,12 +454,12 @@ def cayley_points(draw):
 @given(edge_triples())
 @example(EdgeTriple(IDENTITY, 1, 1, LexVector.unit(TOP)))  # the offset text holds a ';'
 def test_edge_triple_text_round_trip(e):
-    assert parse_triple(format_triple(e), OMEGA_PLUS_ONE) == e
+    assert parse_triple(format_triple(e)) == e
 
 
 @given(cayley_points())
 def test_cayley_point_text_round_trip(x):
-    assert parse_cayley_point(format_cayley_point(x), OMEGA_PLUS_ONE) == x
+    assert parse_cayley_point(format_cayley_point(x)) == x
 
 
 def _vertex_or_lattice_offset(draw, idx):
@@ -481,13 +484,13 @@ def circle_points(draw):
 # tree and circle points compare as points, so the round trips compare their fields
 @given(tree_points())
 def test_tree_point_text_round_trip(p):
-    q = parse_tree_point(format_tree_point(p), OMEGA_PLUS_ONE)
+    q = parse_tree_point(format_tree_point(p))
     assert (q.n, q.g) == (p.n, p.g)
 
 
 @given(circle_points())
 def test_circle_point_text_round_trip(x):
-    y = parse_circle_point(format_circle_point(x), OMEGA_PLUS_ONE)
+    y = parse_circle_point(format_circle_point(x))
     assert (y.index, y.s) == (x.index, x.s)
 
 
@@ -498,6 +501,21 @@ def test_edge_triples_and_cayley_points_never_compare_equal():
     assert (e.w, e.index, e.sign, e.t) == (x.w, x.index, x.sign, x.t)
     assert e != x and x != e
     assert len({e, x}) == 2
+
+
+def test_a_graph_point_is_refused_where_a_tree_point_is_wanted():
+    e = EdgeTriple(IDENTITY, 1, 1, LexVector.unit(2))
+    x = CayleyPoint(IDENTITY, 1, 1, Fraction(1, 2))
+    with pytest.raises(BigFreeError, match="^from_triple takes an edge triple or a reduced word, not a CayleyPoint$"):
+        from_triple(x)
+    for dist in (triple_dist, cayley_dist):
+        for a, b in ((x, e), (e, x)):
+            with pytest.raises(BigFreeError, match="^a distance takes points of one model, got "
+                                                   f"{type(a).__name__} and {type(b).__name__}$"):
+                dist(a, b)
+    # a vertex is a bare word, which both models share
+    assert cayley_dist(x, IDENTITY) == cayley_dist(IDENTITY, x) == LexVector({1: Fraction(1, 2)})
+    assert triple_dist(e, IDENTITY) == triple_dist(IDENTITY, e) == LexVector.unit(2)
 
 
 @pytest.mark.parametrize("t", [0.25, True, "1/2", None, 5], ids=repr)

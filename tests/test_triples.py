@@ -308,6 +308,13 @@ def test_top_edge_instability_table_is_unchanged():
     ]
 
 
+def test_the_instability_rows_read_back_as_the_points_they_name():
+    for k, w, coords in top_edge_instability(20):
+        read = parse_triple(format_triple(coords))
+        assert read == coords
+        assert point_eq(from_triple(read), TreePoint(LexVector.unit(TOP), w))  # <L(b), a_k ... a_1>
+
+
 def test_top_edge_has_no_interior_lattice_points():
     with pytest.raises(BigFreeError):
         EdgeTriple(IDENTITY, TOP, 1, vec(0, 1))

@@ -4,9 +4,15 @@ Every subcommand is one row of the ordered ``COMMANDS`` table, and
 ``build_parser`` is one loop over it.  Most rows are queries: the row names
 the library operation, its positional arguments with the text grammar of
 each, the formatter of the result and the ``--json`` key, and one handler
-serves them all; a formatter may return a JSON value (the membership
-commands return a bool), which prints as its JSON text.  The rest name their
+serves them all; a row without a formatter prints its operation's JSON value
+(the membership commands return a bool) as JSON text.  The rest name their
 own handler, because their output is not one formatted value.
+
+A call loads only the layers its row names.  This module imports
+``ordered_abelian`` and ``words``; a query row names its functions as
+``"<layer>.<name>"`` and ``_resolve`` imports that layer when the row runs,
+and a handler imports its layers in its body.  ``json`` is imported only for
+output that is JSON text.
 
 Exit codes: 0 success, 1 domain error (bad values, non-canonical input),
 2 usage error, 3 internal error (an exception that is not a domain error,
@@ -21,72 +27,33 @@ text grammars of the library.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import sys
 from typing import Callable, NamedTuple, Optional
 
-from .cayley import (
-    ball_dot,
-    ball_graph,
-    ball_json,
-    cayley_act,
-    cayley_dist,
-    embed_compare,
-    format_cayley_point,
-    parse_cayley_point,
-)
-from .ordered_abelian import (
-    BigFreeError,
-    ResourceLimitError,
-    format_vector,
-    parse_vector,
-    read_number,
-)
-from .topology import in_letter_ball, in_metric_ball
-from .tree import (
-    bf_length_oracle,
-    check_length_axioms,
-    format_tree_point,
-    parse_tree_point,
-    tree_act,
-    tree_dist,
-    y_point,
-)
-from .triples import (
-    act_triple,
-    circle_dist,
-    format_circle_point,
-    format_triple,
-    from_triple,
-    parse_circle_point,
-    parse_triple,
-    project,
-    to_triple,
-    top_edge_instability,
-    triple_dist_report,
-)
+from .ordered_abelian import BigFreeError, ResourceLimitError, format_vector, read_number
 from .words import (
     IDENTITY,
-    common_prefix,
     format_cancellation,
     format_word,
-    gromov,
-    inverse,
-    length_vector,
-    multiply,
+    letter_name,
     parse_cancellation,
     parse_generator,
     parse_word,
-    reduce,
     subwords,
     verify_cancellation,
-    word_dist,
 )
+
+
+def _json(value, indent=None) -> str:
+    import json  # only output that is JSON text loads the module
+
+    return json.dumps(value, indent=indent)
 
 
 def _emit(args, text: str, payload) -> int:
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
+        print(_json(payload, indent=2))
     else:
         print(text)
     return 0
@@ -132,6 +99,9 @@ MAX_SUITE_SAMPLES = 100_000  # ten times the default; the suite's time grows lin
 
 
 def _cmd_axioms_check(args) -> int:
+    from .cayley import ball_graph
+    from .tree import bf_length_oracle, check_length_axioms
+
     sample = ball_graph(IDENTITY, args.max_len, args.max_letter, cap=MAX_AXIOM_SAMPLE).vertices
     violation = check_length_axioms(bf_length_oracle(), sample)
     if violation is None:
@@ -143,6 +113,8 @@ def _cmd_axioms_check(args) -> int:
 
 
 def _cmd_triple_dist(args) -> int:
+    from .triples import parse_triple, triple_dist_report
+
     report = triple_dist_report(parse_triple(args.left), parse_triple(args.right))
     if report.simplified is None:
         comparison = "simplified-formula: n/a (degenerate endpoint)"
@@ -158,11 +130,14 @@ def _cmd_triple_dist(args) -> int:
 
 
 def _cmd_embed_compare(args) -> int:
+    from .cayley import embed_compare
+
     w = parse_word(args.word)
     index = parse_generator(args.letter)
+    letter = letter_name(index)
     report = embed_compare(w, index, args.points)
     lines = [
-        f"edge ({format_word(w) or 'identity'}, {args.letter}): "
+        f"edge ({format_word(w) or 'identity'}, {letter}): "
         f"{len(report.matches)} coincidences over {report.t_count} x {report.s_count} grid points"
     ]
     for t, s in report.matches:
@@ -170,13 +145,15 @@ def _cmd_embed_compare(args) -> int:
     lines.append("endpoints-only: " + ("true" if report.endpoints_only() else "false"))
     return _emit(args, "\n".join(lines), {
         "word": format_word(w),
-        "letter": args.letter,
+        "letter": letter,
         "matches": [{"t": str(t), "s": format_vector(s)} for t, s in report.matches],
         "endpoints_only": report.endpoints_only(),
     })
 
 
 def _cmd_ball(args) -> int:
+    from .cayley import ball_dot, ball_graph, ball_json
+
     center = parse_word(args.center)
     graph = ball_graph(center, args.max_len, args.max_letter, cap=args.cap)
     sys.stdout.write(ball_json(graph) if args.as_json else ball_dot(graph))
@@ -184,6 +161,8 @@ def _cmd_ball(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .triples import format_triple, top_edge_instability
+
     rows = top_edge_instability(args.depth)
     lines = [
         f"k={k}  word={format_word(w)}  coordinates={format_triple(e)}"
@@ -200,7 +179,7 @@ def _cmd_demo(args) -> int:
 def _cmd_suite(args) -> int:
     if args.samples > MAX_SUITE_SAMPLES:
         raise ResourceLimitError(f"--samples must be at most {MAX_SUITE_SAMPLES}, got {args.samples}")
-    from .suite import format_results, run_all  # imported here only to keep `import bigfree.cli` light
+    from .suite import format_results, run_all
 
     results = run_all(samples=args.samples, seed=args.seed)
     sys.stdout.write(format_results(results))
@@ -229,74 +208,91 @@ class Command(NamedTuple):
 
 
 class Pos(NamedTuple):
-    """Positional argument of a query: its name, its grammar ``parse(text)``, its help."""
+    """Positional argument of a query: its name, its grammar ``parse(text)`` as a ``_resolve`` name, its help."""
 
     name: str
-    parse: Callable
+    parse: str
     help: Optional[str] = None
 
 
-def _query(name: str, help_text: str, op: Callable, params, fmt: Callable, key: str) -> Command:
+def _resolve(ref: str) -> Callable:
+    """The library function named ``"<layer>.<name>"``; its layer is imported on first use."""
+    layer, _, name = ref.partition(".")
+    return getattr(importlib.import_module(f"{__package__}.{layer}"), name)
+
+
+def _query(name: str, help_text: str, op: str, params, fmt: Optional[str], key: str) -> Command:
     """Row that parses its positionals in order, calls ``op`` and prints ``fmt`` of the result.
 
-    Under ``--json`` the output is ``{key: value}``, with ``value`` what ``fmt``
-    returned.  A ``fmt`` value that is not a string prints as its JSON text.
+    ``op``, each parser and ``fmt`` are ``_resolve`` names, read when the row
+    runs, so a call loads only the layers its row names.  Under ``--json`` the
+    output is ``{key: value}``, with ``value`` what ``fmt`` returned.  With no
+    ``fmt`` the value is ``op``'s own result, a JSON value (the membership
+    commands return a bool), and it prints as its JSON text.
     """
     def run(args) -> int:
-        value = fmt(op(*(p.parse(getattr(args, p.name)) for p in params)))
-        return _emit(args, value if isinstance(value, str) else json.dumps(value), {key: value})
+        value = _resolve(op)(*(_resolve(p.parse)(getattr(args, p.name)) for p in params))
+        if fmt is not None:
+            value = _resolve(fmt)(value)
+        return _emit(args, value if isinstance(value, str) else _json(value), {key: value})
 
     return Command(name, help_text, run, tuple(_arg(p.name, help=p.help) for p in params))
 
 
+WORD = "words.parse_word"
+TREE_POINT = "tree.parse_tree_point"
+TRIPLE = "triples.parse_triple"
+CAYLEY_POINT = "cayley.parse_cayley_point"
+
 COMMANDS = (
-    _query("reduce", "reduced form of a word", reduce, [Pos("word", parse_word)], format_word, "word"),
-    _query("mul", "product of two words (reduced)", multiply,
-           [Pos("left", parse_word), Pos("right", parse_word)], format_word, "word"),
-    _query("inv", "inverse word", inverse, [Pos("word", parse_word)], format_word, "word"),
-    _query("len", "length vector of a word", length_vector,
-           [Pos("word", parse_word)], format_vector, "length"),
-    _query("dist", "vector distance between two words", word_dist,
-           [Pos("left", parse_word), Pos("right", parse_word)], format_vector, "distance"),
-    _query("gromov", "Gromov product at the identity", gromov,
-           [Pos("left", parse_word), Pos("right", parse_word)], format_vector, "gromov"),
-    _query("prefix", "longest common initial segment", common_prefix,
-           [Pos("left", parse_word), Pos("right", parse_word)], format_word, "word"),
+    _query("reduce", "reduced form of a word", "words.reduce", [Pos("word", WORD)], "words.format_word", "word"),
+    _query("mul", "product of two words (reduced)", "words.multiply",
+           [Pos("left", WORD), Pos("right", WORD)], "words.format_word", "word"),
+    _query("inv", "inverse word", "words.inverse", [Pos("word", WORD)], "words.format_word", "word"),
+    _query("len", "length vector of a word", "words.length_vector",
+           [Pos("word", WORD)], "ordered_abelian.format_vector", "length"),
+    _query("dist", "vector distance between two words", "words.word_dist",
+           [Pos("left", WORD), Pos("right", WORD)], "ordered_abelian.format_vector", "distance"),
+    _query("gromov", "Gromov product at the identity", "words.gromov",
+           [Pos("left", WORD), Pos("right", WORD)], "ordered_abelian.format_vector", "gromov"),
+    _query("prefix", "longest common initial segment", "words.common_prefix",
+           [Pos("left", WORD), Pos("right", WORD)], "words.format_word", "word"),
     Command("subwords", "all initial segments in order", _cmd_subwords, (_arg("word"),)),
     Command("cancel-verify", "check a cancellation pairing", _cmd_cancel_verify,
             (_arg("word"), _arg("pairs", help="comma-separated i-j position pairs"))),
 
-    _query("tree-dist", "distance between tree points", tree_dist,
-           [Pos("left", parse_tree_point, "point as '<vector> @ <word>'"), Pos("right", parse_tree_point)],
-           format_vector, "distance"),
-    _query("tree-act", "act on a tree point", tree_act,
-           [Pos("word", parse_word), Pos("point", parse_tree_point)], format_tree_point, "point"),
-    _query("y", "median word of three group elements", y_point,
-           [Pos("v", parse_word), Pos("x", parse_word), Pos("y", parse_word)], format_word, "word"),
+    _query("tree-dist", "distance between tree points", "tree.tree_dist",
+           [Pos("left", TREE_POINT, "point as '<vector> @ <word>'"), Pos("right", TREE_POINT)],
+           "ordered_abelian.format_vector", "distance"),
+    _query("tree-act", "act on a tree point", "tree.tree_act",
+           [Pos("word", WORD), Pos("point", TREE_POINT)], "tree.format_tree_point", "point"),
+    _query("y", "median word of three group elements", "tree.y_point",
+           [Pos("v", WORD), Pos("x", WORD), Pos("y", WORD)], "words.format_word", "word"),
     Command("axioms-check", "length-function axioms on an exhaustive ball", _cmd_axioms_check,
             (_arg("--max-len", type=integer, default=3), _arg("--max-letter", type=integer, default=2))),
 
-    _query("to-triple", "canonical edge coordinates of a tree point", to_triple,
-           [Pos("point", parse_tree_point)], format_triple, "triple"),
-    _query("from-triple", "tree point named by edge coordinates", from_triple,
-           [Pos("triple", parse_triple, "'(<word> ; a<k>^<p> ; <vector>)' or a bare word")],
-           format_tree_point, "point"),
-    _query("triple-act", "act in edge coordinates", act_triple,
-           [Pos("word", parse_word), Pos("triple", parse_triple)], format_triple, "triple"),
+    _query("to-triple", "canonical edge coordinates of a tree point", "triples.to_triple",
+           [Pos("point", TREE_POINT)], "triples.format_triple", "triple"),
+    _query("from-triple", "tree point named by edge coordinates", "triples.from_triple",
+           [Pos("triple", TRIPLE, "'(<word> ; a<k>^<p> ; <vector>)' or a bare word")],
+           "tree.format_tree_point", "point"),
+    _query("triple-act", "act in edge coordinates", "triples.act_triple",
+           [Pos("word", WORD), Pos("triple", TRIPLE)], "triples.format_triple", "triple"),
     Command("triple-dist", "exact distance plus shortcut-formula comparison", _cmd_triple_dist,
             (_arg("left"), _arg("right"))),
-    _query("project", "projection to the wedge of circles", project,
-           [Pos("triple", parse_triple)], format_circle_point, "circle_point"),
-    _query("circle-dist", "distance on the wedge of circles", circle_dist,
-           [Pos("left", parse_circle_point, "point as 'C(a<k>) @ <vector>'"), Pos("right", parse_circle_point)],
-           format_vector, "distance"),
+    _query("project", "projection to the wedge of circles", "triples.project",
+           [Pos("triple", TRIPLE)], "triples.format_circle_point", "circle_point"),
+    _query("circle-dist", "distance on the wedge of circles", "triples.circle_dist",
+           [Pos("left", "triples.parse_circle_point", "point as 'C(a<k>) @ <vector>'"),
+            Pos("right", "triples.parse_circle_point")],
+           "ordered_abelian.format_vector", "distance"),
 
-    _query("cayley-dist", "graph distance (rational coordinates)", cayley_dist,
-           [Pos("left", parse_cayley_point, "'(<word> ; a<k>^<p> ; <t>)' with rational t, or a bare word"),
-            Pos("right", parse_cayley_point)],
-           format_vector, "distance"),
-    _query("cayley-act", "act on a graph point", cayley_act,
-           [Pos("word", parse_word), Pos("point", parse_cayley_point)], format_cayley_point, "point"),
+    _query("cayley-dist", "graph distance (rational coordinates)", "cayley.cayley_dist",
+           [Pos("left", CAYLEY_POINT, "'(<word> ; a<k>^<p> ; <t>)' with rational t, or a bare word"),
+            Pos("right", CAYLEY_POINT)],
+           "ordered_abelian.format_vector", "distance"),
+    _query("cayley-act", "act on a graph point", "cayley.cayley_act",
+           [Pos("word", WORD), Pos("point", CAYLEY_POINT)], "cayley.format_cayley_point", "point"),
     Command("embed-compare", "compare the two edge embeddings", _cmd_embed_compare, (
         _arg("word"),
         _arg("letter", help="a<k> or b"),
@@ -311,14 +307,15 @@ COMMANDS = (
          _arg("--json", dest="as_json", action="store_true")],
     ), json_flag=False),
 
-    _query("ball-letter", "letter-ball membership", in_letter_ball,
-           [Pos("center", parse_word),
-            Pos("letter", parse_generator, "threshold letter a<k> or b"),
-            Pos("word", parse_word)],
-           bool, "inside"),
-    _query("ball-metric", "metric-ball membership", in_metric_ball,
-           [Pos("center", parse_word), Pos("eps", parse_vector, "positive radius vector"), Pos("word", parse_word)],
-           bool, "inside"),
+    _query("ball-letter", "letter-ball membership", "topology.in_letter_ball",
+           [Pos("center", WORD),
+            Pos("letter", "words.parse_generator", "threshold letter a<k> or b"),
+            Pos("word", WORD)],
+           None, "inside"),
+    _query("ball-metric", "metric-ball membership", "topology.in_metric_ball",
+           [Pos("center", WORD), Pos("eps", "ordered_abelian.parse_vector", "positive radius vector"),
+            Pos("word", WORD)],
+           None, "inside"),
 
     Command("demo", "run a named demonstration", _cmd_demo,
             (_arg("name", choices=("omega-plus-one",)), _arg("--depth", type=integer, default=8))),

@@ -1,7 +1,8 @@
 """The command-line checks the golden corpus (``test_cli_corpus.py``) cannot make.
 
 The corpus pins each argv's exit code and bytes.  These tests need more
-than one argv: the README examples, the import graph, exit 3 through a
+than one argv: the README examples, the import graph and the layers each
+call loads, the help texts of every command, exit 3 through a
 patched command, an axiom violation through a patched length oracle, the
 interpreter's int() digit limit, an answer too long for the corpus (a
 letter rank at its cap), the argument types of the command table, and
@@ -17,6 +18,7 @@ import sys
 
 import pytest
 
+import bigfree.tree
 from bigfree import cli
 from bigfree.cli import main
 from bigfree.ordered_abelian import LexVector, read_number
@@ -107,7 +109,7 @@ def test_internal_errors_exit_three_with_one_line(capsys, monkeypatch):
 def test_axioms_check_reports_a_violation_as_text_and_json(capsys, monkeypatch):
     # the bf length plus L(a9) off the identity: each 2 c(g, h) of distinct non-identity words is odd
     nine = LexVector.unit(9)
-    monkeypatch.setattr(cli, "bf_length_oracle", lambda: bf_length_oracle()._replace(
+    monkeypatch.setattr(bigfree.tree, "bf_length_oracle", lambda: bf_length_oracle()._replace(
         length=lambda g: length_vector(g) + nine if g.letters else length_vector(g)))
     argv = ["axioms-check", "--max-len", "1", "--max-letter", "1"]
     message = "2 c(g,h) = [0,0,0,0,0,0,0,0,1] is not evenly divisible"
@@ -135,6 +137,25 @@ def test_the_package_imports_only_the_standard_library():
                   "known = {*sys.stdlib_module_names, 'bigfree', '__main__'}; "
                   "print(sorted(m for m in sys.modules if m.partition('.')[0] not in known))")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+_LAYERS = ("bigfree.tree", "bigfree.triples", "bigfree.cayley", "bigfree.topology", "json")
+
+
+_LOADED = [
+    (["reduce", "a1"], []),
+    (["tree-act", "a1", "[1] @ a1^-1 a2"], ["bigfree.tree"]),
+    (["ball-letter", "a1", "a3", "a1 a5"], ["bigfree.topology", "json"]),
+    (["cayley-act", "a1", "( ; a1^-1 ; 1/3)"], ["bigfree.tree", "bigfree.cayley", "json"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", _LOADED, ids=[argv[0] for argv, _ in _LOADED])
+def test_a_call_loads_only_the_layers_its_row_names(argv, loaded):
+    proc = python("-c", "import sys; from bigfree import cli; cli.main(sys.argv[1:]); "
+                  f"print([m for m in {_LAYERS!r} if m in sys.modules])", *argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
 
 
 def test_the_suite_runs_with_numpy_blocked():
@@ -175,3 +196,27 @@ def test_readme_examples_print_their_documented_output(capsys, command, output):
                          ids=" ".join)
 def test_output_is_deterministic(capsys, argv):
     assert run(capsys, *argv) == run(capsys, *argv)
+
+
+def _help(capsys, *argv) -> str:
+    """The help text of ``bigfree *argv --help``, its whitespace runs collapsed to one space."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_the_help_lists_every_command_with_its_help_in_table_order(capsys):
+    text = _help(capsys)
+    positions = [text.find(f" {cmd.name} {cmd.help} ") for cmd in cli.COMMANDS]
+    assert -1 not in positions and positions == sorted(positions)
+
+
+@pytest.mark.parametrize("cmd", cli.COMMANDS, ids=[cmd.name for cmd in cli.COMMANDS])
+def test_each_command_help_names_its_arguments(capsys, cmd):
+    specs = [spec for arg in cmd.args for spec in (arg if isinstance(arg, list) else [arg])]
+    # argparse names an argument with choices by the choices
+    names = [f"{{{','.join(options['choices'])}}}" if "choices" in options else flag
+             for flags, options in specs for flag in flags] + ["--json"] * cmd.json_flag
+    text = _help(capsys, cmd.name)
+    assert [name for name in names if name not in text.split()] == []

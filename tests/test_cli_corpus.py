@@ -260,6 +260,9 @@ _OTHER = [
     ["embed-compare", "", "a1", "--points", "1_0"],
     ["ball", "\u0661", "\u0662", "--dot"],
     ["ball", "2", "3", "--dot", "--alphabet"],
+    # the letter is printed by its name, not as typed
+    ["embed-compare", "", " a1 ", "--points", "2"],
+    ["embed-compare", "", " a1 ", "--points", "2", "--json"],
 ]
 
 CASES = [argv for base in _ANSWERED for argv in (base, [*base, "--json"])] + _OTHER

@@ -7,17 +7,18 @@ metric: the position of a point is L(w) + t L(a), and the tree's formula
 subtracts twice the smallest of the two positions and the Gromov product of
 the far endpoints.  The embedding comparison samples the graph edge at
 t = k/points only, so no float enters its grid.  A finite ball is a tree
-built breadth first: each edge records its child, vertices sort by
-rank-coded letters, and the DOT and JSON exports format each vertex once,
-write the JSON layout directly and form no product.  The identity's ball
-is also the exhaustive word list of the suites and tests.
+built breadth first: a child is its parent's letters plus one, or less one
+where it steps back along the center's prefixes, so no product is formed;
+each edge records its child, and vertices sort by rank-coded letters built
+the same way.  The DOT and JSON exports write each vertex's text from its
+prefix's and the JSON layout directly.  The identity's ball is also the
+exhaustive word list of the suites and tests.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .ordered_abelian import (
@@ -177,6 +178,11 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     or the letters of all vertices would pass MAX_WORD_LETTERS.  Both are
     counted length by length before any vertex is built, charging each
     vertex the center's letters plus its distance from the center.
+
+    Each child is formed from its parent's letters and sort key: a letter
+    cancels only where it undoes the parent's last letter, which off the
+    chain of the center's prefixes is the letter back to the center, never
+    taken.  So every other child is the parent plus one letter.
     """
     if not center.reduced:
         raise BigFreeError("ball center must be reduced")
@@ -193,36 +199,65 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     # radius 0 uses no letter; otherwise the count above keeps the alphabet below cap.
     # The alphabet is in rank order (by index, positive letter first), so each vertex's out-edges are too.
     alphabet = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
+    ranked = sorted({*alphabet, *center.letters}, key=lambda lt: (lt[0], -lt[1]))
+    rank = {lt: r for r, lt in enumerate(ranked)}
+    steps = [(lt, (lt,), (rank[lt],), (lt[0], -lt[1])) for lt in alphabet]  # (letter, as letters, its rank, inverse)
     vertices = [center]
+    keys = [tuple(map(rank.__getitem__, center.letters))]  # keys[i]: the letter ranks of vertices[i]
     out: List[list] = [[]]  # out[i]: the edges from vertices[i]
     frontier: List[Tuple[int, Optional[Letter]]] = [(0, None)]  # (vertex index, letter back to its parent)
     for _ in range(max_len):
         next_frontier = []
         for i, back in frontier:
-            v, edges = vertices[i], out[i]
-            for lt in alphabet:
+            v, key, edges = vertices[i], keys[i], out[i]
+            letters = v.letters
+            undo = (letters[-1][0], -letters[-1][1]) if letters else None  # the one letter that cancels
+            for lt, one, r, inv in steps:
                 if lt == back:
                     continue  # would backtrack toward the center
-                child = multiply(v, Word._make((lt,), True))
+                if lt == undo:
+                    child = Word._make(letters[:-1], True)
+                    keys.append(key[:-1])
+                else:
+                    child = Word._make(letters + one, True)
+                    keys.append(key + r)
                 edges.append((v, lt, child))
-                next_frontier.append((len(vertices), (lt[0], -lt[1])))
+                next_frontier.append((len(vertices), inv))
                 vertices.append(child)
                 out.append([])
         frontier = next_frontier
         if not frontier:
             break  # an empty alphabet: the center is the whole ball
-    letters = sorted({*alphabet, *center.letters}, key=lambda lt: (lt[0], -lt[1]))
-    rank = {lt: r for r, lt in enumerate(letters)}
-    keys = [(len(v.letters), tuple(map(rank.__getitem__, v.letters))) for v in vertices]
-    order = sorted(range(len(vertices)), key=keys.__getitem__)
+    order = sorted(range(len(vertices)), key=lambda i: (len(keys[i]), keys[i]))
     return BallGraph(center, tuple(vertices[i] for i in order),
                      tuple(e for i in order for e in out[i]))
 
 
 def _labels(graph: BallGraph, quote: Callable[[str], str]) -> Tuple[Dict[tuple, str], List[Tuple[str, str, Letter]]]:
-    """Each vertex formatted and quoted once, keyed by its letters in vertex
-    order, and the (parent, child, letter) labels of each edge."""
-    label = {v.letters: quote(format_word(v)) for v in graph.vertices}
+    """Each vertex's quoted text keyed by its letters in vertex order, and the
+    (parent, child, letter) labels of each edge.
+
+    Vertices sort by length, so a word's prefix comes before it.  Where the
+    last two letters differ, the text is the prefix's text and one token;
+    a run that grows, or a prefix outside the ball, is formatted whole.
+    """
+    text: Dict[tuple, str] = {}
+    label = {}
+    tokens: Dict[Letter, str] = {}  # a letter's text, as format_word writes a word of one letter
+    for v in graph.vertices:
+        letters = v.letters
+        prefix = letters[:-1]
+        head = text.get(prefix) if letters and (not prefix or prefix[-1] != letters[-1]) else None
+        if head is None:
+            body = format_word(v)
+        else:
+            last = letters[-1]
+            token = tokens.get(last)
+            if token is None:
+                token = tokens[last] = format_word(Word._make((last,), True))
+            body = f"{head} {token}" if head else token
+        text[letters] = body
+        label[letters] = quote(body)
     return label, [(label[parent.letters], label[child.letters], lt) for parent, lt, child in graph.edges]
 
 
@@ -245,6 +280,8 @@ def ball_json(graph: BallGraph) -> str:
     Written straight in the fixed layout of ``json.dumps(..., indent=2)``,
     each word quoted by the encoder's own ASCII escaping.
     """
+    from json.encoder import encode_basestring_ascii  # here, so the other graph commands load no json
+
     label, edges = _labels(graph, encode_basestring_ascii)
     vertices = ",\n    ".join(label.values())
     items = ",\n    ".join(

@@ -268,6 +268,25 @@ def test_ball_order_and_exports_match_the_old_route(center_text, max_len, max_le
     assert (ball_dot(graph), ball_json(graph)) == _old_exports(graph)
 
 
+@pytest.mark.parametrize("center_text", ["", "b a1", "a1^3", "a2^-2 a1", "a1^2 a2^-1", "a3 a1^-1 a2"])
+def test_ball_texts_and_children_match_format_word_and_multiply(center_text):
+    # the children cancel only along the center's prefixes, and a text is written from its prefix's
+    center = parse_word(center_text)
+    for max_len in range(4):
+        for max_letter in range(4):
+            graph = ball_graph(center, max_len, max_letter)
+            assert list(graph.vertices) == sorted(graph.vertices, key=_old_word_key)
+            assert all(child == multiply(parent, Word((lt,))) for parent, lt, child in graph.edges)
+            texts = [format_word(v) for v in graph.vertices]
+            payload = json.loads(ball_json(graph))
+            assert payload["vertices"] == texts
+            assert [parse_word(text) for text in payload["vertices"]] == list(graph.vertices)
+            assert [(e["from"], e["to"]) for e in payload["edges"]] == [
+                (format_word(parent), format_word(child)) for parent, _, child in graph.edges]
+            names = re.findall(r'^  "(.*)"(?: \[shape=doublecircle\])?;$', ball_dot(graph), re.M)
+            assert sorted(names) == sorted(text or "1" for text in texts)
+
+
 # -- text form --------------------------------------------------------------------------
 
 def test_cayley_point_text_roundtrip():

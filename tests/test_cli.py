@@ -146,7 +146,7 @@ _LOADED = [
     (["reduce", "a1"], []),
     (["tree-act", "a1", "[1] @ a1^-1 a2"], ["bigfree.tree"]),
     (["ball-letter", "a1", "a3", "a1 a5"], ["bigfree.topology", "json"]),
-    (["cayley-act", "a1", "( ; a1^-1 ; 1/3)"], ["bigfree.tree", "bigfree.cayley", "json"]),
+    (["cayley-act", "a1", "( ; a1^-1 ; 1/3)"], ["bigfree.tree", "bigfree.cayley"]),
 ]
 
 

@@ -263,6 +263,10 @@ _OTHER = [
     # the letter is printed by its name, not as typed
     ["embed-compare", "", " a1 ", "--points", "2"],
     ["embed-compare", "", " a1 ", "--points", "2", "--json"],
+    # a run carried over from the center's prefix chain, and a TOP letter in the center
+    ["ball", "2", "2", "--center", "a1^2 a2^-1", "--dot"],
+    ["ball", "1", "2", "--center", "b a1", "--json"],
+    ["ball", "3", "1", "--center", "a1^-2", "--json"],
 ]
 
 CASES = [argv for base in _ANSWERED for argv in (base, [*base, "--json"])] + _OTHER

@@ -9,16 +9,19 @@ the far endpoints.  The embedding comparison samples the graph edge at
 t = k/points only, so no float enters its grid.  A finite ball is a tree
 built breadth first: a child is its parent's letters plus one, or less one
 where it steps back along the center's prefixes, so no product is formed;
-each edge records its child, and vertices sort by rank-coded letters built
-the same way.  The DOT and JSON exports write each vertex's text from its
-prefix's and the JSON layout directly.  The identity's ball is also the
-exhaustive word list of the suites and tests.
+each vertex's out-edges are a span of one edge list, and vertices sort by
+rank-coded letters, bucketed by length.  The DOT and JSON exports keep each
+vertex's text with the text before its last run and the run's length, so a
+child's text is its prefix's plus one token or one higher power.  The
+identity's ball is also the exhaustive word list of the suites and tests.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .ordered_abelian import (
@@ -174,20 +177,24 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     """All reduced words within max_len letters of the center.
 
     Uses letters of index <= max_letter; the result is a tree rooted at the
-    center.  Raises ResourceLimitError when the vertex count would pass cap,
-    or the letters of all vertices would pass MAX_WORD_LETTERS.  Both are
-    counted length by length before any vertex is built, charging each
-    vertex the center's letters plus its distance from the center.
+    center.  A cap below 1 is refused.  Raises ResourceLimitError when the
+    vertex count would pass cap, or the letters of all vertices would pass
+    MAX_WORD_LETTERS.  Both are counted length by length before any vertex
+    is built, charging each vertex the center's letters plus its distance.
 
     Each child is formed from its parent's letters and sort key: a letter
     cancels only where it undoes the parent's last letter, which off the
     chain of the center's prefixes is the letter back to the center, never
-    taken.  So every other child is the parent plus one letter.
+    taken.  So every other child is the parent plus one letter.  A vertex's
+    out-edges are one (first, end) span of a flat edge list, and the
+    vertices are sorted by key within buckets of one key length.
     """
     if not center.reduced:
         raise BigFreeError("ball center must be reduced")
     if max_len < 0 or max_letter < 0:
         raise BigFreeError("ball radius and letter bound must be >= 0")
+    if cap < 1:
+        raise BigFreeError(f"ball vertex cap must be >= 1, got {cap}")
     vertex_count = letter_count = 0
     for length, count in enumerate(reduced_word_counts(max_len, max_letter)):
         vertex_count += count
@@ -201,77 +208,93 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     alphabet = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
     ranked = sorted({*alphabet, *center.letters}, key=lambda lt: (lt[0], -lt[1]))
     rank = {lt: r for r, lt in enumerate(ranked)}
-    steps = [(lt, (lt,), (rank[lt],), (lt[0], -lt[1])) for lt in alphabet]  # (letter, as letters, its rank, inverse)
+    # (letter, as letters, its rank, as a key, its inverse's rank)
+    steps = [(lt, (lt,), rank[lt], (rank[lt],), rank[lt[0], -lt[1]]) for lt in alphabet]
+    new = object.__new__
     vertices = [center]
     keys = [tuple(map(rank.__getitem__, center.letters))]  # keys[i]: the letter ranks of vertices[i]
-    out: List[list] = [[]]  # out[i]: the edges from vertices[i]
-    frontier: List[Tuple[int, Optional[Letter]]] = [(0, None)]  # (vertex index, letter back to its parent)
+    backs: List[Optional[int]] = [None]  # backs[i]: the rank of the letter from vertices[i] to its parent
+    by_len = {len(keys[0]): [0]}  # the vertex indices of each key length
+    edges: list = []  # edges[k] = (parent, letter, vertices[k + 1]): each edge makes one vertex
+    spans = []  # spans[i]: the (first, end) slice of the edges leaving vertices[i]
+    level = range(1)  # the vertices at one distance from the center
     for _ in range(max_len):
-        next_frontier = []
-        for i, back in frontier:
-            v, key, edges = vertices[i], keys[i], out[i]
+        for i in level:
+            v, key, back = vertices[i], keys[i], backs[i]
             letters = v.letters
-            undo = (letters[-1][0], -letters[-1][1]) if letters else None  # the one letter that cancels
-            for lt, one, r, inv in steps:
-                if lt == back:
+            undo = rank.get((letters[-1][0], -letters[-1][1])) if letters else None  # the one that cancels
+            longer = by_len.setdefault(len(key) + 1, [])
+            first = len(edges)
+            for lt, one, r, as_key, inv in steps:
+                if r == back:
                     continue  # would backtrack toward the center
-                if lt == undo:
-                    child = Word._make(letters[:-1], True)
+                child = new(Word)
+                child.reduced = True
+                if r == undo:
+                    child.letters = letters[:-1]
                     keys.append(key[:-1])
+                    by_len.setdefault(len(key) - 1, []).append(len(vertices))
                 else:
-                    child = Word._make(letters + one, True)
-                    keys.append(key + r)
+                    child.letters = letters + one
+                    keys.append(key + as_key)
+                    longer.append(len(vertices))
                 edges.append((v, lt, child))
-                next_frontier.append((len(vertices), inv))
+                backs.append(inv)
                 vertices.append(child)
-                out.append([])
-        frontier = next_frontier
-        if not frontier:
+            spans.append(slice(first, len(edges)))
+        level = range(level.stop, len(vertices))
+        if not level:
             break  # an empty alphabet: the center is the whole ball
-    order = sorted(range(len(vertices)), key=lambda i: (len(keys[i]), keys[i]))
-    return BallGraph(center, tuple(vertices[i] for i in order),
-                     tuple(e for i in order for e in out[i]))
+    spans += [slice(0, 0)] * (len(vertices) - len(spans))  # the last level has no out-edges
+    order = [i for n in sorted(by_len) for i in sorted(by_len[n], key=keys.__getitem__)]
+    return BallGraph(center, tuple(map(vertices.__getitem__, order)),
+                     tuple(chain.from_iterable(map(edges.__getitem__, map(spans.__getitem__, order)))))
 
 
-def _labels(graph: BallGraph, quote: Callable[[str], str]) -> Tuple[Dict[tuple, str], List[Tuple[str, str, Letter]]]:
-    """Each vertex's quoted text keyed by its letters in vertex order, and the
-    (parent, child, letter) labels of each edge.
+def _labels(graph: BallGraph, quote: Callable[[str], str], tail: Callable[[Letter], object]) -> tuple:
+    """Each vertex's quoted text in vertex order, the center's, and
+    (parent, child, tail(letter)) for each edge, with tail called once per letter.
 
-    Vertices sort by length, so a word's prefix comes before it.  Where the
-    last two letters differ, the text is the prefix's text and one token;
-    a run that grows, or a prefix outside the ball, is formatted whole.
+    Vertices sort by length, so a word's prefix comes before it.  Each text
+    is kept with its head (the text before its last run) and the run's
+    length: a letter that repeats the prefix's last letter raises the run's
+    power on the prefix's head, any other adds a token to the prefix's text.
+    Only the center and the bottom of its prefix chain can have a prefix
+    outside the ball; such a word is formatted whole.
     """
-    text: Dict[tuple, str] = {}
-    label = {}
-    tokens: Dict[Letter, str] = {}  # a letter's text, as format_word writes a word of one letter
+    record: Dict[tuple, Tuple[str, str, int, str]] = {}  # letters: (text, head, run length, quoted text)
+    names = {lt: letter_name(lt[0]) for lt in {*graph.center.letters, *map(itemgetter(1), graph.edges)}}
     for v in graph.vertices:
         letters = v.letters
-        prefix = letters[:-1]
-        head = text.get(prefix) if letters and (not prefix or prefix[-1] != letters[-1]) else None
-        if head is None:
-            body = format_word(v)
+        prefix = record.get(letters[:-1]) if letters else None
+        if prefix is None:
+            text = format_word(v)
+            head, _, token = text.rpartition(" ")
+            n = abs(int(token.partition("^")[2] or 1))
         else:
             last = letters[-1]
-            token = tokens.get(last)
-            if token is None:
-                token = tokens[last] = format_word(Word._make((last,), True))
-            body = f"{head} {token}" if head else token
-        text[letters] = body
-        label[letters] = quote(body)
-    return label, [(label[parent.letters], label[child.letters], lt) for parent, lt, child in graph.edges]
+            if len(letters) > 1 and letters[-2] == last:
+                head, n = prefix[1], prefix[2] + 1
+                token = f"{names[last]}^{n * last[1]}"
+            else:
+                head, n = prefix[0], 1
+                token = names[last] if last[1] > 0 else f"{names[last]}^-1"
+            text = f"{head} {token}" if head else token
+        record[letters] = (text, head, n, quote(text))
+    tails = {lt: tail(lt) for lt in names}
+    return ([r[3] for r in record.values()], record[graph.center.letters][3],
+            [(record[p.letters][3], record[c.letters][3], tails[lt]) for p, lt, c in graph.edges])
 
 
 def ball_dot(graph: BallGraph) -> str:
     """Deterministic DOT text; edges point along the positive generator."""
-    label, edges = _labels(graph, lambda text: f'"{text or "1"}"')
-    center = label[graph.center.letters]
+    labels, center, edges = _labels(graph, lambda text: f'"{text or "1"}"',
+                                    lambda lt: (lt[1] > 0, f' [label="{letter_name(lt[0])}"];'))
     lines = ["digraph ball {", f"  {center} [shape=doublecircle];"]
-    lines += [f"  {name};" for name in label.values() if name != center]
-    for parent, child, lt in edges:
-        tail, head = (parent, child) if lt[1] > 0 else (child, parent)
-        lines.append(f'  {tail} -> {head} [label="{letter_name(lt[0])}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  {name};" for name in labels if name != center]
+    lines += [f"  {parent} -> {child}{tail}" if forward else f"  {child} -> {parent}{tail}"
+              for parent, child, (forward, tail) in edges]
+    return "\n".join(lines) + "\n}\n"
 
 
 def ball_json(graph: BallGraph) -> str:
@@ -282,14 +305,13 @@ def ball_json(graph: BallGraph) -> str:
     """
     from json.encoder import encode_basestring_ascii  # here, so the other graph commands load no json
 
-    label, edges = _labels(graph, encode_basestring_ascii)
-    vertices = ",\n    ".join(label.values())
-    items = ",\n    ".join(
-        f'{{\n      "from": {parent},\n      "to": {child},\n      '
-        f'"label": "{letter_name(lt[0])}{"" if lt[1] > 0 else "^-1"}"\n    }}'
-        for parent, child, lt in edges)
+    labels, center, edges = _labels(graph, encode_basestring_ascii, lambda lt: (
+        f'"label": "{letter_name(lt[0])}{"" if lt[1] > 0 else "^-1"}"\n    }}'))
+    items = ",\n    ".join(f'{{\n      "from": {parent},\n      "to": {child},\n      {tail}'
+                             for parent, child, tail in edges)
     edge_list = f"[\n    {items}\n  ]" if items else "[]"
-    return (f'{{\n  "center": {label[graph.center.letters]},\n  "vertices": [\n    {vertices}\n  ],\n'
+    vertices = ",\n    ".join(labels)
+    return (f'{{\n  "center": {center},\n  "vertices": [\n    {vertices}\n  ],\n'
             f'  "edges": {edge_list}\n}}\n')
 
 

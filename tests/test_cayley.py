@@ -7,6 +7,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bigfree.cayley import (
     MAX_EMBED_POINTS,
@@ -159,6 +160,9 @@ def test_ball_cap_guard():
     assert len(ball_graph(IDENTITY, 1, 2, cap=5).vertices) == 5
     with pytest.raises(ResourceLimitError, match="ball would exceed 6 vertices"):
         ball_graph(IDENTITY, 1, 3, cap=6)
+    for cap in (0, -5):  # a ball holds its center, so even radius 0 is refused before counting
+        with pytest.raises(BigFreeError, match=f"^ball vertex cap must be >= 1, got {cap}$"):
+            ball_graph(IDENTITY, 0, 3, cap=cap)
 
 
 def test_ball_cap_fires_before_the_alphabet_is_built():
@@ -285,6 +289,31 @@ def test_ball_texts_and_children_match_format_word_and_multiply(center_text):
                 (format_word(parent), format_word(child)) for parent, _, child in graph.edges]
             names = re.findall(r'^  "(.*)"(?: \[shape=doublecircle\])?;$', ball_dot(graph), re.M)
             assert sorted(names) == sorted(text or "1" for text in texts)
+
+
+@st.composite
+def _run_centers(draw):
+    """A reduced word of up to 6 letters made of runs of 1-4 copies of one signed letter, b among them."""
+    letters = ()
+    for lt, n in draw(st.lists(st.tuples(st.sampled_from([(k, s) for k in (1, 2, 3, TOP) for s in (1, -1)]),
+                                         st.integers(1, 4)), max_size=6)):
+        if not letters or letters[-1][0] != lt[0]:  # a run that neither cancels nor joins the last one
+            letters += (lt,) * n
+    return Word(letters[:6])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_centers(), st.integers(0, 3), st.integers(0, 3))
+def test_ball_order_children_and_exports_match_the_old_routes_on_run_centers(center, max_len, max_letter):
+    # runs that grow, shrink along the center's prefix chain, or end where it leaves the ball
+    graph = ball_graph(center, max_len, max_letter)
+    assert list(graph.vertices) == sorted(graph.vertices, key=_old_word_key)
+    pairs = [(_old_word_key(parent), _old_letter_key(lt)) for parent, lt, _ in graph.edges]
+    assert pairs == sorted(set(pairs))  # each (parent, letter) once, in the old order
+    assert {child for _, _, child in graph.edges} == set(graph.vertices) - {center}
+    assert len(graph.edges) == len(graph.vertices) - 1
+    assert all(child == multiply(parent, Word((lt,))) for parent, lt, child in graph.edges)
+    assert (ball_dot(graph), ball_json(graph)) == _old_exports(graph)
 
 
 # -- text form --------------------------------------------------------------------------

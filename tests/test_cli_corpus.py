@@ -267,6 +267,13 @@ _OTHER = [
     ["ball", "2", "2", "--center", "a1^2 a2^-1", "--dot"],
     ["ball", "1", "2", "--center", "b a1", "--json"],
     ["ball", "3", "1", "--center", "a1^-2", "--json"],
+    # runs grown from the identity, a run before a TOP letter, a TOP run on the center's prefix chain
+    ["ball", "4", "1", "--json"],
+    ["ball", "2", "2", "--center", "a1^3 b", "--dot"],
+    ["ball", "3", "2", "--center", "b^2 a1^-1", "--json"],
+    # a ball holds its center, so a vertex cap below 1 is refused before counting
+    ["ball", "0", "3", "--cap", "0", "--dot"],
+    ["ball", "2", "3", "--cap", "-5", "--json"],
 ]
 
 CASES = [argv for base in _ANSWERED for argv in (base, [*base, "--json"])] + _OTHER

@@ -7,22 +7,22 @@ metric: the position of a point is L(w) + t L(a), and the tree's formula
 subtracts twice the smallest of the two positions and the Gromov product of
 the far endpoints.  The embedding comparison samples the graph edge at
 t = k/points only, so no float enters its grid.  A finite ball is a tree
-built breadth first: a child is its parent's letters plus one, or less one
-where it steps back along the center's prefixes, so no product is formed;
-each vertex's out-edges are a span of one edge list, and vertices sort by
-rank-coded letters, bucketed by length.  The DOT and JSON exports keep each
-vertex's text with the text before its last run and the run's length, so a
-child's text is its prefix's plus one token or one higher power.  The
-identity's ball is also the exhaustive word list of the suites and tests.
+built length by length from the bottom of the center's prefix chain: each
+child is its parent's letters plus one, so no product is formed, and the
+walk yields the vertices by length and then by letter with no sort.  The
+DOT and JSON exports find each word's prefix, parent and child by position
+in that order, and keep each vertex's text with the text before its last
+run and the run's length, so a child's text is its prefix's plus one token
+or one higher power.  The identity's ball is also the exhaustive word
+list of the suites and tests.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
 from operator import itemgetter
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Tuple, Union
 
 from .ordered_abelian import (
     TOP,
@@ -163,9 +163,13 @@ def embed_compare(w: Word, index: AlphabetIndex, points: int = 100) -> EmbedRepo
 class BallGraph(NamedTuple):
     """Tree of all words within a letter-count radius of the center.
 
-    Vertices are sorted by length, then letter by letter; each edge is a
-    (parent, letter, child) triple with child = parent * letter, and edges
+    Each edge is a (parent, letter, child) triple with child = parent *
+    letter and the parent nearer the center.  Vertices are sorted by length,
+    then letter by letter (by index, positive letter first), so
+    ``vertices[0]`` is the one vertex whose prefix is not a vertex.  Edges
     are sorted by their parent's place among the vertices, then by letter.
+    ``ball_dot`` and ``ball_json`` need this order, and refuse a graph built
+    by hand in any other.
     """
 
     center: Word
@@ -182,12 +186,14 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     MAX_WORD_LETTERS.  Both are counted length by length before any vertex
     is built, charging each vertex the center's letters plus its distance.
 
-    Each child is formed from its parent's letters and sort key: a letter
-    cancels only where it undoes the parent's last letter, which off the
-    chain of the center's prefixes is the letter back to the center, never
-    taken.  So every other child is the parent plus one letter.  A vertex's
-    out-edges are one (first, end) span of a flat edge list, and the
-    vertices are sorted by key within buckets of one key length.
+    The walk goes by length.  It starts at the bottom of the center's prefix
+    chain: the center less the trailing letters that the radius allows and
+    the alphabet holds, the one vertex whose prefix is outside the ball.
+    Each word is extended by each letter in rank order but the one that
+    cancels, and a child is kept while its distance, the parent's less one
+    along the chain and plus one off it, is within the radius.  A chain
+    word's edge back toward the bottom takes the slot of the letter that
+    cancels.  So the result is in ``BallGraph``'s order with no sort.
     """
     if not center.reduced:
         raise BigFreeError("ball center must be reduced")
@@ -203,87 +209,116 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
             raise ResourceLimitError(f"ball would exceed {cap} vertices")
         if letter_count > MAX_WORD_LETTERS:
             raise ResourceLimitError(f"ball would exceed {MAX_WORD_LETTERS} letters in all")
-    # radius 0 uses no letter; otherwise the count above keeps the alphabet below cap.
-    # The alphabet is in rank order (by index, positive letter first), so each vertex's out-edges are too.
+    # radius 0 uses no letter; otherwise the count above keeps the alphabet below cap
     alphabet = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
-    ranked = sorted({*alphabet, *center.letters}, key=lambda lt: (lt[0], -lt[1]))
-    rank = {lt: r for r, lt in enumerate(ranked)}
-    # (letter, as letters, its rank, as a key, its inverse's rank)
-    steps = [(lt, (lt,), rank[lt], (rank[lt],), rank[lt[0], -lt[1]]) for lt in alphabet]
+    steps = [(lt, (lt,)) for lt in alphabet]  # (letter, as letters), in rank order
+    after = {lt: [st for st in steps if st[0] != (lt[0], -lt[1])] for lt in alphabet}  # the steps not undoing lt
+    chain = center.letters
+    top = len(chain)
+    bottom = top
+    while bottom > max(top - max_len, 0) and chain[bottom - 1] in after:
+        bottom -= 1
+    link = center if bottom == top else Word._make(chain[:bottom], True)  # the chain word of the current length
+    below = None  # the chain word one letter shorter
     new = object.__new__
-    vertices = [center]
-    keys = [tuple(map(rank.__getitem__, center.letters))]  # keys[i]: the letter ranks of vertices[i]
-    backs: List[Optional[int]] = [None]  # backs[i]: the rank of the letter from vertices[i] to its parent
-    by_len = {len(keys[0]): [0]}  # the vertex indices of each key length
-    edges: list = []  # edges[k] = (parent, letter, vertices[k + 1]): each edge makes one vertex
-    spans = []  # spans[i]: the (first, end) slice of the edges leaving vertices[i]
-    level = range(1)  # the vertices at one distance from the center
-    for _ in range(max_len):
-        for i in level:
-            v, key, back = vertices[i], keys[i], backs[i]
+    vertices = [link]
+    edges = []
+    level, dists = [link], [top - bottom]  # the words of one length, and their distances to the center
+    for length in range(bottom, top + max_len):
+        longer, farther = [], []
+        for v, d in zip(level, dists):
             letters = v.letters
-            undo = rank.get((letters[-1][0], -letters[-1][1])) if letters else None  # the one that cancels
-            longer = by_len.setdefault(len(key) + 1, [])
-            first = len(edges)
-            for lt, one, r, as_key, inv in steps:
-                if r == back:
-                    continue  # would backtrack toward the center
-                child = new(Word)
-                child.reduced = True
-                if r == undo:
-                    child.letters = letters[:-1]
-                    keys.append(key[:-1])
-                    by_len.setdefault(len(key) - 1, []).append(len(vertices))
-                else:
+            if v is link:  # a chain word: one step up the chain, one back down it
+                up = chain[length] if length < top else None
+                undo = (letters[-1][0], -letters[-1][1]) if letters else None
+                for lt, one in steps:
+                    if lt == undo:
+                        if below is not None:  # the bottom's prefix is outside the ball
+                            edges.append((v, lt, below))
+                    elif lt == up or d < max_len:  # only the bottom can lie on the radius
+                        child = new(Word)
+                        child.letters = letters + one
+                        child.reduced = True
+                        longer.append(child)
+                        if lt == up:
+                            farther.append(d - 1)
+                            link = child
+                        else:
+                            farther.append(d + 1)
+                            edges.append((v, lt, child))
+                below = v
+            elif d < max_len:
+                d += 1
+                for lt, one in after[letters[-1]]:
+                    child = new(Word)
                     child.letters = letters + one
-                    keys.append(key + as_key)
-                    longer.append(len(vertices))
-                edges.append((v, lt, child))
-                backs.append(inv)
-                vertices.append(child)
-            spans.append(slice(first, len(edges)))
-        level = range(level.stop, len(vertices))
-        if not level:
-            break  # an empty alphabet: the center is the whole ball
-    spans += [slice(0, 0)] * (len(vertices) - len(spans))  # the last level has no out-edges
-    order = [i for n in sorted(by_len) for i in sorted(by_len[n], key=keys.__getitem__)]
-    return BallGraph(center, tuple(map(vertices.__getitem__, order)),
-                     tuple(chain.from_iterable(map(edges.__getitem__, map(spans.__getitem__, order)))))
+                    child.reduced = True
+                    edges.append((v, lt, child))
+                    longer.append(child)
+                    farther.append(d)
+        if not longer:
+            break
+        vertices += longer
+        level, dists = longer, farther
+    return BallGraph(center, tuple(vertices), tuple(edges))
 
 
 def _labels(graph: BallGraph, quote: Callable[[str], str], tail: Callable[[Letter], object]) -> tuple:
     """Each vertex's quoted text in vertex order, the center's, and
     (parent, child, tail(letter)) for each edge, with tail called once per letter.
 
-    Vertices sort by length, so a word's prefix comes before it.  Each text
-    is kept with its head (the text before its last run) and the run's
-    length: a letter that repeats the prefix's last letter raises the run's
-    power on the prefix's head, any other adds a token to the prefix's text.
-    Only the center and the bottom of its prefix chain can have a prefix
-    outside the ball; such a word is formatted whole.
+    Words are found by position in the order ``BallGraph`` states, and a
+    graph in any other order is refused.  A vertex's prefix is found under a
+    pointer that only moves forward, and so are an edge's parent and an
+    extending edge's child; a backtracking edge's child is its parent's
+    prefix.  Each text is kept with its head (the text before its last run)
+    and the run's length: a letter that repeats the prefix's last letter
+    raises the run's power on the prefix's head, any other adds a token to
+    the prefix's text.  Only ``vertices[0]`` is formatted whole.
     """
-    record: Dict[tuple, Tuple[str, str, int, str]] = {}  # letters: (text, head, run length, quoted text)
+    vertices = graph.vertices
+    words = [v.letters for v in vertices]
+    index = words.index
     names = {lt: letter_name(lt[0]) for lt in {*graph.center.letters, *map(itemgetter(1), graph.edges)}}
-    for v in graph.vertices:
-        letters = v.letters
-        prefix = record.get(letters[:-1]) if letters else None
-        if prefix is None:
-            text = format_word(v)
-            head, _, token = text.rpartition(" ")
-            n = abs(int(token.partition("^")[2] or 1))
-        else:
+    ones = {lt: name if lt[1] > 0 else f"{name}^-1" for lt, name in names.items()}
+    try:  # a search that finds nothing, or a pointer past the words labelled so far, is out of order
+        text = format_word(vertices[0])
+        head, _, token = text.rpartition(" ")
+        # records[i]: the text of vertices[i], its head, its last run's length and its prefix's place
+        records = [(text, head, abs(int(token.partition("^")[2] or 1)), 0)]
+        q = 0
+        for letters in words[1:]:
+            prefix = letters[:-1]
+            if prefix != words[q]:
+                q = index(prefix, q + 1)
             last = letters[-1]
-            if len(letters) > 1 and letters[-2] == last:
-                head, n = prefix[1], prefix[2] + 1
+            text, head, n, _ = records[q]
+            if prefix and prefix[-1] == last:
+                n += 1
                 token = f"{names[last]}^{n * last[1]}"
             else:
-                head, n = prefix[0], 1
-                token = names[last] if last[1] > 0 else f"{names[last]}^-1"
-            text = f"{head} {token}" if head else token
-        record[letters] = (text, head, n, quote(text))
-    tails = {lt: tail(lt) for lt in names}
-    return ([r[3] for r in record.values()], record[graph.center.letters][3],
-            [(record[p.letters][3], record[c.letters][3], tails[lt]) for p, lt, c in graph.edges])
+                head, n, token = text, 1, ones[last]
+            records.append((f"{head} {token}" if head else token, head, n, q))
+        quoted = [quote(record[0]) for record in records]
+        tails = {lt: tail(lt) for lt in names}
+        labelled = []
+        p = c = 0
+        for parent, lt, child in graph.edges:
+            if parent is not vertices[p]:
+                p = index(parent.letters, p)
+            if len(child.letters) > len(words[p]):  # an extending edge: its child is the next one found
+                c += 1
+                if child is not vertices[c]:
+                    c = index(child.letters, c)
+                labelled.append((quoted[p], quoted[c], tails[lt]))
+            else:  # a backtracking edge: its child is its parent's prefix
+                k = records[p][3]
+                if not p or child.letters != words[k]:
+                    raise ValueError
+                labelled.append((quoted[p], quoted[k], tails[lt]))
+        return quoted, quoted[index(graph.center.letters)], labelled
+    except (IndexError, ValueError):
+        raise BigFreeError("ball export needs the vertex and edge order of ball_graph") from None
 
 
 def ball_dot(graph: BallGraph) -> str:

@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -29,7 +30,7 @@ from bigfree.ordered_abelian import TOP, BigFreeError, LexVector, ZERO
 from bigfree.sampling import random_cayley_point, random_reduced_word
 from bigfree.words import (
     IDENTITY, MAX_WORD_LETTERS, Word, double_gromov, format_word, inverse, length_vector, letter_name,
-    multiply, parse_word, word_dist,
+    multiply, parse_word, reduce, reduced_word_counts, word_dist,
 )
 
 from helpers import W, vec
@@ -120,21 +121,11 @@ def test_embed_compare_examples():
 # -- finite balls ---------------------------------------------------------------------
 
 def oracle_ball_vertices(center, max_len, max_letter):
-    """Independent enumeration: all products center * u with u short words."""
+    """Independent enumeration: center * s for every reduced s of at most max_len letters,
+    each s drawn from all letter strings over generators 1..max_letter."""
     letters = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)]
-    seen = {center}
-    tails = [()]
-    for _ in range(max_len):
-        new_tails = []
-        for tail in tails:
-            for lt in letters:
-                if tail and tail[-1] == (lt[0], -lt[1]):
-                    continue
-                new_tails.append(tail + (lt,))
-        for tail in new_tails:
-            seen.add(multiply(center, Word(tail)))
-        tails = new_tails
-    return seen
+    return {multiply(center, Word(s)) for n in range(max_len + 1) for s in product(letters, repeat=n)
+            if all(a != (b[0], -b[1]) for a, b in zip(s, s[1:]))}
 
 
 def test_ball_counts():
@@ -289,6 +280,30 @@ def test_ball_texts_and_children_match_format_word_and_multiply(center_text):
                 (format_word(parent), format_word(child)) for parent, _, child in graph.edges]
             names = re.findall(r'^  "(.*)"(?: \[shape=doublecircle\])?;$', ball_dot(graph), re.M)
             assert sorted(names) == sorted(text or "1" for text in texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 4, 5, TOP]), st.sampled_from([1, -1])), max_size=5),
+       st.integers(0, 3), st.integers(0, 3))
+def test_ball_vertices_are_the_center_times_each_short_word(letters, max_len, max_letter):
+    # centers with b and with letters above max_letter, whose prefix chain the alphabet cuts
+    center = reduce(Word(letters))
+    graph = ball_graph(center, max_len, max_letter)
+    assert set(graph.vertices) == oracle_ball_vertices(center, max_len, max_letter)
+    assert len(graph.vertices) == sum(reduced_word_counts(max_len, max_letter))
+
+
+@pytest.mark.parametrize("change", [
+    lambda g: g._replace(vertices=g.vertices[::-1]),
+    lambda g: g._replace(vertices=g.vertices[1:] + g.vertices[:1]),
+    lambda g: g._replace(edges=g.edges[::-1]),
+    lambda g: g._replace(center=W("a4")),
+], ids=["vertices reversed", "bottom moved last", "edges reversed", "center not a vertex"])
+def test_ball_exports_refuse_a_graph_out_of_ball_graph_order(change):
+    graph = change(ball_graph(W("a1 a2^-1"), 2, 2))
+    for export in (ball_dot, ball_json):
+        with pytest.raises(BigFreeError, match="^ball export needs the vertex and edge order of ball_graph$"):
+            export(graph)
 
 
 @st.composite

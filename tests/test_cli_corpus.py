@@ -271,6 +271,11 @@ _OTHER = [
     ["ball", "4", "1", "--json"],
     ["ball", "2", "2", "--center", "a1^3 b", "--dot"],
     ["ball", "3", "2", "--center", "b^2 a1^-1", "--json"],
+    # a prefix chain cut by a letter outside the alphabet, a radius shorter than the
+    # center, and a center with an empty alphabet
+    ["ball", "3", "2", "--center", "a5 a1^-1 a2", "--dot"],
+    ["ball", "1", "2", "--center", "a1 a2^-1 a1", "--json"],
+    ["ball", "3", "0", "--center", "a1 a2", "--dot"],
     # a ball holds its center, so a vertex cap below 1 is refused before counting
     ["ball", "0", "3", "--cap", "0", "--dot"],
     ["ball", "2", "3", "--cap", "-5", "--json"],

@@ -268,7 +268,8 @@ def _labels(graph: BallGraph, quote: Callable[[str], str], tail: Callable[[Lette
     (parent, child, tail(letter)) for each edge, with tail called once per letter.
 
     Words are found by position in the order ``BallGraph`` states, and a
-    graph in any other order is refused.  A vertex's prefix is found under a
+    graph in any other order, or with a vertex letter that neither the center
+    nor an edge carries, is refused.  A vertex's prefix is found under a
     pointer that only moves forward, and so are an edge's parent and an
     extending edge's child; a backtracking edge's child is its parent's
     prefix.  Each text is kept with its head (the text before its last run)
@@ -281,7 +282,9 @@ def _labels(graph: BallGraph, quote: Callable[[str], str], tail: Callable[[Lette
     index = words.index
     names = {lt: letter_name(lt[0]) for lt in {*graph.center.letters, *map(itemgetter(1), graph.edges)}}
     ones = {lt: name if lt[1] > 0 else f"{name}^-1" for lt, name in names.items()}
-    try:  # a search that finds nothing, or a pointer past the words labelled so far, is out of order
+    # a search that finds nothing, a pointer past the words labelled so far, or a vertex
+    # letter that neither the center nor an edge carries (no name) is out of order
+    try:
         text = format_word(vertices[0])
         head, _, token = text.rpartition(" ")
         # records[i]: the text of vertices[i], its head, its last run's length and its prefix's place
@@ -317,7 +320,7 @@ def _labels(graph: BallGraph, quote: Callable[[str], str], tail: Callable[[Lette
                     raise ValueError
                 labelled.append((quoted[p], quoted[k], tails[lt]))
         return quoted, quoted[index(graph.center.letters)], labelled
-    except (IndexError, ValueError):
+    except (IndexError, KeyError, ValueError):
         raise BigFreeError("ball export needs the vertex and edge order of ball_graph") from None
 
 

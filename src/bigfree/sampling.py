@@ -144,9 +144,15 @@ def random_tree_point(rng: Random, max_len: int = 12, max_index: int = 5) -> Tre
 
 
 def _edge_letter(rng: Random, w: Word, max_index: int) -> Tuple[int, int]:
-    """A signed letter that may follow the reduced word w (sign drawn first)."""
+    """A signed letter that may follow the reduced word w (sign drawn first).
+
+    With one generator the index is forced, so a sign that would undo w's
+    last letter is flipped, with no draw; more generators redraw the index.
+    """
     bits = rng.getrandbits
     sign = (1, -1)[_below(bits, 2)]
+    if max_index == 1 and w.letters and w.letters[-1] == (1, -sign):
+        sign = -sign
     while True:
         index = 1 + _below(bits, max_index)
         if not w.letters or w.letters[-1] != (index, -sign):

@@ -2,9 +2,11 @@
 
 A Letter is a pair (index, sign) with sign +1 or -1; a Word is a finite
 ordered sequence of letters carrying a reduction certificate.  Free
-reduction is a single left-to-right stack pass; the cancellation calculus
-(complete / noncrossing / inverse-pairing involutions on positions) is kept
-as an independent verification path so the two can cross-check.
+reduction is a single left-to-right stack pass that compares letters in
+place, building no inverse letter; the parser reads each distinct token once
+per call.  The cancellation calculus (complete / noncrossing /
+inverse-pairing involutions on positions) is kept as an independent
+verification path so the two can cross-check.
 The one infinite word, a1 a2 a3 ..., appears only through its truncations.
 """
 
@@ -40,7 +42,13 @@ def inverse_letter(lt: Letter) -> Letter:
 
 
 def _is_reduced(letters: tuple) -> bool:
-    return all(l2 != (l1[0], -l1[1]) for l1, l2 in zip(letters, letters[1:]))
+    """No two adjacent letters cancel: compared in place, stopping at the first pair that does."""
+    x = (0, 0)  # a rank-0 letter, which cancels none
+    for y in letters:
+        if x[0] == y[0] and x[1] != y[1]:
+            return False
+        x = y
+    return True
 
 
 class Word:
@@ -85,27 +93,30 @@ IDENTITY = Word._make((), True)
 
 
 def reduce(w: Word) -> Word:
-    """The unique reduced representative (single stack pass, idempotent)."""
+    """The unique reduced representative: one stack pass comparing letters in place, keeping the input's."""
     if w.reduced:
         return w
-    stack: list = []
-    for idx, sign in w.letters:
-        if stack and stack[-1] == (idx, -sign):
+    stack = [(0, 0)]  # a rank-0 floor cancels no letter
+    top = stack[0]
+    for lt in w.letters:
+        if top[0] == lt[0] and top[1] != lt[1]:
             stack.pop()
+            top = stack[-1]
         else:
-            stack.append((idx, sign))
-    return Word._make(tuple(stack), True)
+            stack.append(lt)
+            top = lt
+    return Word._make(tuple(stack[1:]), True)
 
 
 def _junction(a: tuple, b: tuple) -> Tuple[int, tuple]:
     """The k letters of reduced ``a`` that cancel against reduced ``b``, and the reduced join.
 
-    Only the last letters of a can cancel against the first letters of b;
-    the join drops those k letters from each side and keeps the rest.
+    Only the last letters of a can cancel the first letters of b, compared in
+    place; the join drops those k letters from each side and keeps the rest.
     """
     k = 0
-    for x, (idx, sign) in zip(reversed(a), b):
-        if x != (idx, -sign):
+    for x, y in zip(reversed(a), b):
+        if x[0] != y[0] or x[1] == y[1]:
             break
         k += 1
     return k, a[:len(a) - k] + b[k:]
@@ -114,7 +125,7 @@ def _junction(a: tuple, b: tuple) -> Tuple[int, tuple]:
 def multiply(w: Word, v: Word) -> Word:
     """Reduced form of the concatenation: both factors reduced, then joined at the junction."""
     a, b = reduce(w).letters, reduce(v).letters
-    if not a or not b or a[-1] != (b[0][0], -b[0][1]):
+    if not a or not b or a[-1][0] != b[0][0] or a[-1][1] == b[0][1]:
         return Word._make(a + b, True)  # nothing cancels: the common case for one-letter factors
     return Word._make(_junction(a, b)[1], True)
 
@@ -402,35 +413,43 @@ def parse_generator(token: str) -> AlphabetIndex:
     return parse_word(token).letters[0][0]
 
 
-def _position(text: str, n: int) -> int:
-    """1-based position in text of its n-th token, for an error message."""
-    return [m.start() for m in _TOKEN.finditer(text)][n] + 1
+def _position(text: str, token: str) -> int:
+    """1-based position in text of the token's first occurrence, for an error message."""
+    return next(m.start() for m in _TOKEN.finditer(text) if m.group() == token) + 1
 
 
 def parse_word(text: str) -> Word:
     """Parse ``a<k>``/``a<k>^<e>`` tokens (``b`` = TOP letter); no reduction.
 
-    Raises ResourceLimitError before the word would pass MAX_WORD_LETTERS,
-    and at a letter rank above it.
+    Each distinct token is matched, read and checked once per call, into a
+    dict from the token to its letters, so a bad token is reported at its
+    first position.  Raises ResourceLimitError before the word would pass
+    MAX_WORD_LETTERS, checked at every token, and at a letter rank above it.
     """
     letters = []
-    for n, token in enumerate(text.split()):  # the tokens of _TOKEN: both split on str.isspace
-        tm = _WORD_TOKEN.fullmatch(token)
-        if tm is None:
-            raise ParseError(f"bad token {token!r} at position {_position(text, n)}")
-        k, e = tm.groups()
-        if k is None:
-            idx: AlphabetIndex = TOP
-        else:
-            idx = read_number(k)  # the token grammar admits only ranks >= 1
-            if idx > MAX_WORD_LETTERS:  # a length vector's text has one coordinate per rank up to its largest
-                raise ResourceLimitError(f"letter rank must be at most {MAX_WORD_LETTERS}")
-        exp = 1 if e is None else read_number(e)
-        if exp == 0:
-            raise ParseError(f"zero exponent in token {token!r} at position {_position(text, n)}")
-        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+    runs: dict = {}  # token -> its letters, one shared letter repeated
+    for token in text.split():  # the tokens of _TOKEN: both split on str.isspace
+        run = runs.get(token)
+        if run is None:
+            tm = _WORD_TOKEN.fullmatch(token)
+            if tm is None:
+                raise ParseError(f"bad token {token!r} at position {_position(text, token)}")
+            k, e = tm.groups()
+            if k is None:
+                idx: AlphabetIndex = TOP
+            else:
+                idx = read_number(k)  # the token grammar admits only ranks >= 1
+                if idx > MAX_WORD_LETTERS:  # a length vector's text has one coordinate per rank up to its largest
+                    raise ResourceLimitError(f"letter rank must be at most {MAX_WORD_LETTERS}")
+            exp = 1 if e is None else read_number(e)
+            if exp == 0:
+                raise ParseError(f"zero exponent in token {token!r} at position {_position(text, token)}")
+            if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+                raise ResourceLimitError(f"word would exceed {MAX_WORD_LETTERS} letters")
+            run = runs[token] = [(idx, 1 if exp > 0 else -1)] * abs(exp)
+        elif len(letters) + len(run) > MAX_WORD_LETTERS:
             raise ResourceLimitError(f"word would exceed {MAX_WORD_LETTERS} letters")
-        letters += [(idx, 1 if exp > 0 else -1)] * abs(exp)
+        letters += run
     letters = tuple(letters)
     return Word._make(letters, _is_reduced(letters))  # the token grammar checked each letter
 

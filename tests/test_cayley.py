@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from bigfree.cayley import (
     MAX_EMBED_POINTS,
+    BallGraph,
     CayleyPoint,
     ResourceLimitError,
     ball_dot,
@@ -301,6 +302,13 @@ def test_ball_vertices_are_the_center_times_each_short_word(letters, max_len, ma
 ], ids=["vertices reversed", "bottom moved last", "edges reversed", "center not a vertex"])
 def test_ball_exports_refuse_a_graph_out_of_ball_graph_order(change):
     graph = change(ball_graph(W("a1 a2^-1"), 2, 2))
+    for export in (ball_dot, ball_json):
+        with pytest.raises(BigFreeError, match="^ball export needs the vertex and edge order of ball_graph$"):
+            export(graph)
+
+
+def test_ball_exports_refuse_a_vertex_letter_that_neither_the_center_nor_an_edge_carries():
+    graph = BallGraph(W("a1"), (W("a1"), W("a1 a2")), ())  # a2 names no edge
     for export in (ball_dot, ball_json):
         with pytest.raises(BigFreeError, match="^ball export needs the vertex and edge order of ball_graph$"):
             export(graph)

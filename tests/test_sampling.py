@@ -150,3 +150,25 @@ def test_point_samplers_reject_empty_ranges(call):
 def test_word_samplers_reject_empty_ranges(sampler, max_len, max_index):
     with pytest.raises(ValueError):
         sampler(Random(0), max_len, max_index)
+
+
+class _BoundedRandom(Random):
+    """A generator that fails a test after 1000 ``getrandbits`` calls, where a sampler loop would spin."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        assert self.calls <= 1000, "sampler still drawing after 1000 calls"
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("sampler", [sampling.random_edge_triple, sampling.random_cayley_point])
+def test_one_generator_edge_samplers_return_at_once(sampler):
+    """With a1 the only generator, a drawn sign that would undo the base word's last letter is flipped."""
+    for last in ((1, 1), (1, -1)):
+        assert sampling._edge_letter(_BoundedRandom(0), Word._make((last,), True), 1) == last
+    for seed in SEEDS:
+        x = sampler(_BoundedRandom(seed), 6, 1)
+        if not isinstance(x, Word):  # the public constructor refuses an edge that backtracks
+            assert type(x)(x.w, x.index, x.sign, x.t) == x and x.index == 1

@@ -210,11 +210,34 @@ def test_parse_word_rejects_malformed_tokens_as_its_oracle_does(token):
 
 
 @pytest.mark.parametrize("text", [f"a1^{MAX_WORD_LETTERS + 1}",
-                                  f"a1^{MAX_WORD_LETTERS // 2 + 1} a2^-{MAX_WORD_LETTERS // 2 + 1}"])
+                                  f"a1^{MAX_WORD_LETTERS // 2 + 1} a2^-{MAX_WORD_LETTERS // 2 + 1}",
+                                  "a1^600000 a1^600000"])
 def test_parse_word_refuses_words_past_the_letter_cap(text):
-    """The cap counts the running total of letters, not each token on its own."""
+    """The cap counts the running total of letters, not each token on its own,
+    and is checked again when a token repeats and its letters are not read again."""
     with pytest.raises(ResourceLimitError, match=f"word would exceed {MAX_WORD_LETTERS} letters"):
         parse_word(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a1 q7 a2 q7", "bad token 'q7' at position 4"),
+    ("a1\ta2^0  a1 a2^0", "zero exponent in token 'a2^0' at position 4"),
+])
+def test_parse_word_reports_a_repeated_bad_token_at_its_first_position(text, message):
+    assert _outcome(parse_word, text) == _outcome(oracle_parse_word, text) == (ParseError, message)
+
+
+@st.composite
+def _repeated_token_texts(draw):
+    """Up to 60 tokens drawn from a pool of at most four, so most tokens repeat."""
+    pool = draw(st.lists(_TOKENS, min_size=1, max_size=4))
+    return " ".join(draw(st.lists(st.sampled_from(pool), max_size=60)))
+
+
+@given(_repeated_token_texts())
+@example("a2^3 b^-1 a2^3 a2 b^-1 a2^3")
+def test_parse_word_reads_repeated_tokens_as_its_oracle_does(text):
+    assert _outcome(parse_word, text) == _outcome(oracle_parse_word, text)
 
 
 def test_parse_word_accepts_a_word_at_the_letter_cap():
@@ -323,15 +346,15 @@ def test_double_gromov_equals_definitional_formula(pair):
     assert word_dist(g, h) == difference
 
 
-def _stack_product(w: Word, v: Word) -> Word:
-    """Reduced form of the concatenation by pushing every letter through one stack."""
+def _stack_reduce(letters: tuple) -> tuple:
+    """Reduced letters by pushing every letter through one stack, tested against a built inverse."""
     stack = []
-    for idx, sign in w.letters + v.letters:
+    for idx, sign in letters:
         if stack and stack[-1] == (idx, -sign):
             stack.pop()
         else:
             stack.append((idx, sign))
-    return Word(stack)
+    return tuple(stack)
 
 
 _FACTORS = st.one_of(
@@ -350,8 +373,23 @@ def test_multiply_scans_only_the_junction(w, v, invert):
     if invert:
         v = inverse(w)
     product = multiply(w, v)
-    assert product.reduced and product == _stack_product(w, v)
+    assert product.reduced and product.letters == _stack_reduce(w.letters + v.letters)
     assert Word(product.letters).reduced
+
+
+_RUN_WORDS = st.lists(st.tuples(_LETTERS, st.integers(1, 5)), max_size=24).map(
+    lambda runs: Word([lt for lt, n in runs for _ in range(n)]))  # runs of one letter, b and b^-1 among them
+
+
+@given(_RUN_WORDS, _RUN_WORDS)
+@example(parse_word("b b^-1 b^2 a1^3"), parse_word("a1^-3 b^-2 a2"))
+@example(parse_word("a1^2 a1^-2 b^-1"), IDENTITY)
+def test_reduce_multiply_and_the_reduced_flag_match_a_stack_reducer(w, v):
+    for word in (w, v):
+        reduced = _stack_reduce(word.letters)
+        assert reduce(word).letters == reduced
+        assert Word(word.letters).reduced == (reduced == word.letters)
+    assert multiply(w, v).letters == _stack_reduce(w.letters + v.letters)
 
 
 def test_common_prefix_examples():

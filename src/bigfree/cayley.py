@@ -25,7 +25,6 @@ from operator import itemgetter
 from typing import Callable, List, NamedTuple, Tuple, Union
 
 from .ordered_abelian import (
-    TOP,
     AlphabetIndex,
     BigFreeError,
     LexVector,
@@ -49,6 +48,7 @@ from .words import (
     Letter,
     Word,
     format_word,
+    letter,
     letter_name,
     multiply,
     reduced_word_counts,
@@ -77,14 +77,15 @@ GraphPoint = Union[CayleyPoint, Word]
 
 
 def cayley_point(w: Word, index: AlphabetIndex, sign: int, t) -> GraphPoint:
-    """Build a point, collapsing the endpoints t = 0 and t = 1 to vertices."""
+    """Build a point, collapsing the endpoints t = 0 and t = 1 to vertices once the letter is checked."""
     if not w.reduced:
         raise BigFreeError("edge base word must be reduced")
+    edge = letter(index, sign)
     t = _rational_offset(t)
     if t == 0:
         return w
     if t == 1:
-        return multiply(w, Word._make(((index, sign),), True))
+        return multiply(w, Word._make((edge,), True))
     return CayleyPoint(w, index, sign, t)
 
 
@@ -116,13 +117,13 @@ class EmbedReport(NamedTuple):
 def default_s_grid(index: AlphabetIndex) -> List[LexVector]:
     """Lattice sample of [0, L(a)]: endpoints plus two-sided perturbations.
 
-    The perturbations are c L(a_{index+j}) for j = 1..5 and c = 1..10.
+    The perturbations are c L(a_{index+j}) for c = 1..10 and j = 1..5 with
+    index + j <= MAX_WORD_LETTERS, so TOP and the last rank get the two
+    endpoints alone.
     """
     unit = LexVector.unit(index)
     grid = [ZERO, unit]
-    if index is TOP:
-        return grid  # the TOP interval has no interior lattice points
-    for j in range(1, 6):
+    for j in range(1, min(5, MAX_WORD_LETTERS - index) + 1):
         for c in range(1, 11):
             bump = LexVector.unit(index + j, c)
             grid.append(bump)         # just above 0

@@ -1,8 +1,10 @@
 """Exact lexicographically ordered vectors over a well-ordered index set.
 
-The index set is the natural ranks 1, 2, 3, ... plus one distinguished
-index TOP sitting above all of them (omega+1).  The omega instance is the
-vectors whose TOP coordinate is 0, so it needs no index set of its own.  A
+The index set is omega+1, as far as text can name it: the ranks 1, 2, ...,
+MAX_WORD_LETTERS, then one index TOP above all of them.  TOP is a plain int,
+the one rank reserved past the cap, so every index is an int from 1 to TOP
+and ``check_index`` is its one gate.  The omega instance is the vectors
+whose TOP coordinate is 0, so it needs no index set of its own.  A
 LexVector is a finitely supported map from indices to exact coordinates
 (int, or Fraction for the rational variant), compared by the first
 differing coordinate.  All values are immutable and all operations
@@ -31,55 +33,32 @@ class ResourceLimitError(BigFreeError):
     """A finite construction would exceed its configured cap."""
 
 
-class _Top:
-    """The distinguished index above every natural rank.
-
-    A singleton; comparisons against ints go through the reflected
-    operators, so sorting mixed index lists works.
-    """
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "TOP"
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-
-TOP = _Top()
-
 # The text layer's cap, both ways: the highest letter rank a word or a vector is read or written
 # with, and the most letters parse_word reads, or subwords, top_edge_instability and ball_graph
 # build in all.
 MAX_WORD_LETTERS = 1_000_000
 
-AlphabetIndex = Union[int, _Top]
+TOP = MAX_WORD_LETTERS + 1  # the one index above every rank a word or a vector may hold
+
+AlphabetIndex = int
 Coord = Union[int, Fraction]
 
 
 def check_index(idx: AlphabetIndex) -> None:
-    """Reject anything that is not a rank >= 1 or TOP."""
-    if idx is TOP:
-        return
-    if isinstance(idx, int) and not isinstance(idx, bool) and idx >= 1:
-        return
-    raise BigFreeError(f"invalid alphabet index {idx!r}")
+    """The one gate of an index: an int from 1 to TOP.
+
+    Anything else is a BigFreeError; an int above TOP is a ResourceLimitError,
+    whose message does not echo the rank (it may be too long to print).
+    """
+    if type(idx) is not int or idx < 1:
+        raise BigFreeError(f"invalid alphabet index {idx!r}")
+    if idx > TOP:
+        raise ResourceLimitError(f"letter rank must be at most {MAX_WORD_LETTERS}")
+
+
+def index_name(idx: AlphabetIndex) -> str:
+    """An index as messages print it: its rank, or ``TOP``."""
+    return "TOP" if idx == TOP else str(idx)
 
 
 def _norm_coord(value: Coord) -> Coord:
@@ -112,10 +91,10 @@ class LexVector:
             value = _norm_coord(value)
             if value != 0:
                 cleaned.append((idx, value))
-        cleaned.sort()  # by index: _Top orders TOP above every rank
+        cleaned.sort()  # by index: TOP sorts last
         for (i1, _), (i2, _) in zip(cleaned, cleaned[1:]):
             if i1 == i2:
-                raise BigFreeError(f"duplicate index {i1!r}")
+                raise BigFreeError(f"duplicate index {index_name(i1)}")
         self.entries = tuple(cleaned)
 
     @classmethod
@@ -126,10 +105,9 @@ class LexVector:
 
     @classmethod
     def unit(cls, idx: AlphabetIndex, value: Coord = 1) -> "LexVector":
-        if type(idx) is int and idx >= 1 and type(value) is int:  # the common case, already valid
-            return cls._make(((idx, value),)) if value else ZERO
         check_index(idx)
-        value = _norm_coord(value)
+        if type(value) is not int:
+            value = _norm_coord(value)
         return cls._make(((idx, value),)) if value else ZERO
 
     def is_zero(self) -> bool:
@@ -255,9 +233,9 @@ def half_exact(x: LexVector) -> LexVector:
     out = []
     for idx, v in x.entries:
         if not isinstance(v, int):
-            raise HalfError(f"coordinate at {idx!r} is not an integer: {v}")
+            raise HalfError(f"coordinate at {index_name(idx)} is not an integer: {v}")
         if v % 2:
-            raise HalfError(f"odd coordinate {v} at index {idx!r}")
+            raise HalfError(f"odd coordinate {v} at index {index_name(idx)}")
         out.append((idx, v // 2))
     return LexVector._make(tuple(out))
 
@@ -271,19 +249,13 @@ def _format_coord(value: Coord) -> str:
 def format_vector(x: LexVector) -> str:
     """Text form ``[c1,c2,...]`` (trailing zeros trimmed), ``;TOP=c`` suffix.
 
-    The text has one coordinate per rank up to the largest, so a rank above
-    MAX_WORD_LETTERS, which ``parse_word`` refuses too, is a ResourceLimitError.
+    The text has one coordinate per rank up to the largest; check_index keeps
+    every rank of a vector at most MAX_WORD_LETTERS, below TOP.
     """
-    naturals = [(i, v) for i, v in x.entries if i is not TOP]
-    top = x.get(TOP)
-    parts = ""
-    if naturals:
-        last = naturals[-1][0]
-        if last > MAX_WORD_LETTERS:  # the rank itself is not echoed: it may be too long to print
-            raise ResourceLimitError(f"vector text is limited to ranks at most {MAX_WORD_LETTERS}")
-        coords = {i: v for i, v in naturals}
-        parts = ",".join(_format_coord(coords.get(i, 0)) for i in range(1, last + 1))
-    suffix = f";TOP={_format_coord(top)}" if top != 0 else ""
+    coords = dict(x.entries)
+    top = coords.pop(TOP, 0)
+    parts = ",".join(_format_coord(coords.get(i, 0)) for i in range(1, max(coords, default=0) + 1))
+    suffix = f";TOP={_format_coord(top)}" if top else ""
     return f"[{parts}{suffix}]"
 
 
@@ -318,7 +290,11 @@ def _parse_coord(text: str, where: str) -> Coord:
 
 
 def parse_vector(text: str) -> LexVector:
-    """Parse the ``[c1,c2,...;TOP=c]`` form."""
+    """Parse the ``[c1,c2,...;TOP=c]`` form.
+
+    More than MAX_WORD_LETTERS natural coordinates is a ResourceLimitError,
+    raised before any coordinate is read: the next rank would be TOP's.
+    """
     raw = text.strip()
     if not (raw.startswith("[") and raw.endswith("]")):
         raise ParseError(f"vector must be bracketed: {text!r}")
@@ -326,6 +302,8 @@ def parse_vector(text: str) -> LexVector:
     entries = []
     coord_part, _, rest = inner.partition(";")
     if coord_part.strip():
+        if coord_part.count(",") >= MAX_WORD_LETTERS:
+            raise ResourceLimitError(f"letter rank must be at most {MAX_WORD_LETTERS}")
         for i, token in enumerate(coord_part.split(","), start=1):
             entries.append((i, _parse_coord(token, text)))
     if rest:

@@ -22,7 +22,7 @@ from random import Random
 from typing import List, Optional, Tuple
 
 from .cayley import CayleyPoint, GraphPoint, ball_graph
-from .ordered_abelian import LexVector, ZERO
+from .ordered_abelian import MAX_WORD_LETTERS, TOP, LexVector, ResourceLimitError, ZERO
 from .tree import TreePoint
 from .triples import EdgeTriple
 from .words import IDENTITY, Cancellation, Word, _is_reduced, length_vector
@@ -31,6 +31,13 @@ from .words import IDENTITY, Cancellation, Word, _is_reduced, length_vector
 def _check_ranges(max_len: int, max_index: int) -> None:
     if max_len < 0 or max_index < 1:
         raise ValueError(f"empty range: max_len={max_len}, max_index={max_index}")
+    _check_rank_cap(max_index)
+
+
+def _check_rank_cap(max_index: int) -> None:
+    """Letters are built unchecked, so a rank past the text cap is refused before any draw."""
+    if max_index > MAX_WORD_LETTERS:
+        raise ResourceLimitError(f"letter rank must be at most {MAX_WORD_LETTERS}")
 
 
 def _below(bits, n: int) -> int:
@@ -121,9 +128,9 @@ def random_cancellation(rng: Random, w: Word) -> Optional[Cancellation]:
 
 
 def random_offset_inside(rng: Random, index: int) -> LexVector:
-    """A vector strictly between 0 and the unit at index."""
+    """A vector strictly between 0 and the unit at the rank index."""
     bits = rng.getrandbits
-    j = index + 1 + _below(bits, 4)
+    j = min(index + 1 + _below(bits, 4), TOP)  # past the last rank, TOP is the next index
     c = 1 + _below(bits, 5)
     if rng.random() < 0.5:
         return LexVector.unit(j, c)
@@ -178,6 +185,7 @@ def random_cayley_point(rng: Random, max_len: int = 10, max_index: int = 5) -> G
 def random_small_vector(rng: Random, max_index: int = 4, bound: int = 2) -> LexVector:
     if max_index < 0 or bound < 0:
         raise ValueError(f"empty range: max_index={max_index}, bound={bound}")
+    _check_rank_cap(max_index)
     bits = rng.getrandbits
     support = rng.sample(range(1, max_index + 1), _below(bits, min(3, max_index) + 1))
     entries = [(i, _below(bits, 2 * bound + 1) - bound) for i in support]  # drawn in support order

@@ -29,6 +29,7 @@ from .ordered_abelian import (
     ZERO,
     check_index,
     half_exact,
+    index_name,
     parse_vector,
 )
 from .words import (
@@ -182,7 +183,7 @@ class EdgePoint:
             raise BigFreeError("non-canonical edge point: base word ends in the inverse letter")
         t = self._coerce(t)
         if not (self._vector(index, t).sign() > 0 and t < self._span(index)):  # 0 < t < span
-            raise BigFreeError(f"edge offset {t} outside (0, {self._span(index)}) for index {index!r}")
+            raise BigFreeError(f"edge offset {t} outside (0, {self._span(index)}) for index {index_name(index)}")
         self.w = w
         self.index = index
         self.sign = sign

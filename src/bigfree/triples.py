@@ -27,6 +27,7 @@ from .ordered_abelian import (
     ResourceLimitError,
     ZERO,
     check_index,
+    index_name,
     parse_vector,
 )
 from .tree import (
@@ -162,7 +163,7 @@ class CirclePoint:
     def __init__(self, index: AlphabetIndex, s: LexVector):
         check_index(index)
         if not (ZERO <= s < LexVector.unit(index)):
-            raise BigFreeError(f"circle offset {s} outside [0, L(a)) for index {index!r}")
+            raise BigFreeError(f"circle offset {s} outside [0, L(a)) for index {index_name(index)}")
         self.index = index
         self.s = s
 

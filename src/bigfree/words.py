@@ -396,7 +396,7 @@ _GENERATOR_TOKEN = re.compile(_LETTER_NAME)
 
 def letter_name(idx: AlphabetIndex) -> str:
     """Text name of a generator: ``a<k>``, or ``b`` for the TOP letter."""
-    return "b" if idx is TOP else f"a{idx}"
+    return "b" if idx == TOP else f"a{idx}"
 
 
 def parse_letter_token(token: str) -> Tuple[AlphabetIndex, int]:
@@ -464,7 +464,7 @@ def format_word(w: Word) -> str:
             continue
         if n:
             idx, sign = run
-            name = "b" if idx is TOP else f"a{idx}"  # letter_name, inlined to save a call per run
+            name = "b" if idx == TOP else f"a{idx}"  # letter_name, inlined to save a call per run
             exp = n * sign
             parts.append(name if exp == 1 else f"{name}^{exp}")
         run, n = lt, 1
@@ -474,7 +474,13 @@ def format_word(w: Word) -> str:
 # -- the harmonic word ----------------------------------------------------------
 
 def harmonic_word(k: int) -> Word:
-    """a1 a2 ... ak: the truncation at depth k of the infinite word a1 a2 a3 ..."""
+    """a1 a2 ... ak: the truncation at depth k of the infinite word a1 a2 a3 ...
+
+    Raises ResourceLimitError past MAX_WORD_LETTERS letters, before any is
+    built: the next letter would be TOP's.
+    """
     if k < 0:
         raise BigFreeError("truncation depth must be >= 0")
+    if k > MAX_WORD_LETTERS:  # the depth is not echoed: it may be too long to print
+        raise ResourceLimitError(f"harmonic word would exceed {MAX_WORD_LETTERS} letters")
     return Word._make(tuple((i, 1) for i in range(1, k + 1)), True)

@@ -21,6 +21,7 @@ from bigfree.cayley import (
     cayley_act,
     cayley_dist,
     cayley_point,
+    default_s_grid,
     direction_word,
     embed_compare,
     format_cayley_point,
@@ -64,6 +65,25 @@ def test_cayley_point_construction():
         CayleyPoint(W("a1^-1"), 1, 1, Fraction(1, 3))
     with pytest.raises(BigFreeError):
         CayleyPoint(W("a2"), 1, 1, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("t", [0, 1, Fraction(1, 2)])
+def test_cayley_point_checks_the_edge_letter_at_every_offset(t):
+    """The endpoints collapse to vertices only after the letter is checked."""
+    for index, sign in ((0, 1), (1, 5), ("x", 7), (True, 1)):
+        with pytest.raises(BigFreeError) as info:
+            cayley_point(IDENTITY, index, sign, t)
+        assert not isinstance(info.value, ResourceLimitError)
+    with pytest.raises(ResourceLimitError, match="^letter rank must be at most 1000000$"):
+        cayley_point(IDENTITY, TOP + 1, 1, t)
+
+
+def test_the_lattice_grid_bumps_only_at_ranks_up_to_the_cap():
+    assert len(default_s_grid(1)) == 102
+    assert len(default_s_grid(MAX_WORD_LETTERS - 1)) == 22
+    for index in (MAX_WORD_LETTERS, TOP):
+        assert default_s_grid(index) == [ZERO, LexVector.unit(index)]
+    assert all(max(s.support(), default=1) <= MAX_WORD_LETTERS for s in default_s_grid(MAX_WORD_LETTERS - 3))
 
 
 def test_cayley_act_examples():
@@ -218,7 +238,7 @@ def test_ball_exports_name_each_child_by_the_product_even_toward_the_identity():
 
 def _old_letter_key(lt):
     idx, sign = lt
-    return (idx is TOP, idx if idx is not TOP else 0, 0 if sign > 0 else 1)
+    return (idx, 0 if sign > 0 else 1)
 
 
 def _old_word_key(w):

@@ -279,6 +279,9 @@ _OTHER = [
     # a ball holds its center, so a vertex cap below 1 is refused before counting
     ["ball", "0", "3", "--cap", "0", "--dot"],
     ["ball", "2", "3", "--cap", "-5", "--json"],
+    # an offset past the TOP edge is named by the index, TOP, not by its rank
+    ["from-triple", "( ; b^1 ; [;TOP=2])"],
+    ["circle-dist", "C(b) @ [;TOP=3]", "C(a1) @ []"],
 ]
 
 CASES = [argv for base in _ANSWERED for argv in (base, [*base, "--json"])] + _OTHER

@@ -16,6 +16,7 @@ from bigfree.ordered_abelian import (
     ResourceLimitError,
     TOP,
     ZERO,
+    check_index,
     format_vector,
     half_exact,
     parse_vector,
@@ -41,7 +42,7 @@ def test_top_dominates_every_rank():
     top_unit = LexVector.unit(TOP)
     assert top_unit > ZERO
     assert top_unit < vec(0, 0, 1)          # any natural coordinate decides first
-    assert top_unit < LexVector.unit(10**9)
+    assert top_unit < LexVector.unit(MAX_WORD_LETTERS)
     assert vec(1) + top_unit > vec(1)
 
 
@@ -140,11 +141,34 @@ def test_vector_text_stops_at_the_letter_rank_cap():
     # the text has one coordinate per rank up to the largest: the cap parse_word reads ranks under
     assert words.MAX_WORD_LETTERS is MAX_WORD_LETTERS == 1_000_000
     assert format_vector(LexVector.unit(MAX_WORD_LETTERS, -1)).endswith(",0,-1]")
-    for x in (LexVector.unit(MAX_WORD_LETTERS + 1), LexVector.unit(10**11), LexVector.unit(10**5000),
-              LexVector([(1, 1), (2_000_000, 3), (TOP, 2)])):
+    assert format_vector(LexVector.unit(MAX_WORD_LETTERS + 1)) == "[;TOP=1]"  # the rank past the cap is TOP
+    for build in (lambda: LexVector.unit(10**11), lambda: LexVector.unit(10**5000),
+                  lambda: LexVector([(1, 1), (2_000_000, 3), (TOP, 2)])):
         with pytest.raises(ResourceLimitError) as info:
-            str(x)
-        assert str(info.value) == "vector text is limited to ranks at most 1000000"  # the rank is not echoed
+            build()  # refused when the vector is built, before any text
+        assert str(info.value) == "letter rank must be at most 1000000"  # the rank is not echoed
+
+
+def test_vector_text_past_the_last_rank_is_refused_before_any_coordinate_is_read():
+    # MAX_WORD_LETTERS empty coordinates pass the cap and fail on the first; one more is refused at once
+    with pytest.raises(ParseError, match="^bad coordinate ''"):
+        parse_vector("[" + "," * (MAX_WORD_LETTERS - 1) + "]")
+    with pytest.raises(ResourceLimitError, match="^letter rank must be at most 1000000$"):
+        parse_vector("[" + "," * MAX_WORD_LETTERS + ";TOP=1]")
+
+
+def test_check_index_passes_exactly_the_ints_from_one_to_top():
+    for idx in (1, MAX_WORD_LETTERS, TOP):
+        check_index(idx)
+    for idx in (TOP + 1, 10**5000):
+        with pytest.raises(ResourceLimitError) as info:
+            check_index(idx)
+        assert str(info.value) == "letter rank must be at most 1000000"
+    for idx in (0, -1, True, 1.0, "x", None):
+        with pytest.raises(BigFreeError, match="^invalid alphabet index") as info:
+            check_index(idx)
+        assert not isinstance(info.value, ResourceLimitError)
+    assert sorted([TOP, 3, 1]) == [1, 3, TOP]
 
 
 def test_parse_format_roundtrip():

@@ -18,7 +18,7 @@ import pytest
 
 from bigfree import sampling
 from bigfree.cayley import cayley_point
-from bigfree.ordered_abelian import LexVector, ZERO
+from bigfree.ordered_abelian import MAX_WORD_LETTERS, LexVector, ResourceLimitError, ZERO
 from bigfree.tree import TreePoint
 from bigfree.triples import EdgeTriple
 from bigfree.words import Word, length_vector
@@ -172,3 +172,27 @@ def test_one_generator_edge_samplers_return_at_once(sampler):
         x = sampler(_BoundedRandom(seed), 6, 1)
         if not isinstance(x, Word):  # the public constructor refuses an edge that backtracks
             assert type(x)(x.w, x.index, x.sign, x.t) == x and x.index == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: sampling.random_word(rng, 3, 10**7),
+    lambda rng: sampling.random_reduced_word(rng, 3, MAX_WORD_LETTERS + 1),
+    lambda rng: sampling.random_edge_triple(rng, 3, 10**7),
+    lambda rng: sampling.random_cayley_point(rng, 3, 10**7),
+    lambda rng: sampling.random_tree_point(rng, 3, 10**7),
+    lambda rng: sampling.random_small_vector(rng, MAX_WORD_LETTERS + 1, 2),
+])
+def test_samplers_refuse_ranks_past_the_cap_before_any_draw(call):
+    """Letters are built unchecked, so a rank past MAX_WORD_LETTERS would be TOP's or past it."""
+    rng = Random(1)
+    state = rng.getstate()
+    with pytest.raises(ResourceLimitError, match="^letter rank must be at most 1000000$"):
+        call(rng)
+    assert rng.getstate() == state
+
+
+def test_an_offset_under_the_last_rank_stays_inside_its_edge():
+    unit = LexVector.unit(MAX_WORD_LETTERS)
+    for seed in range(50):
+        t = sampling.random_offset_inside(Random(seed), MAX_WORD_LETTERS)
+        assert ZERO < t < unit  # a perturbation past the last rank sits at TOP

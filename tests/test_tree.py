@@ -425,7 +425,7 @@ _COORD = st.fractions(-3, 3, max_denominator=4)
 
 def _lattice_offset(draw, idx):
     """A tree edge offset [] < t < L(a_idx), with Fraction and TOP coordinates."""
-    lower = [] if idx is TOP else [(idx + 1, draw(_COORD)), (idx + 3, draw(_COORD)), (TOP, draw(_COORD))]
+    lower = [] if idx == TOP else [(idx + 1, draw(_COORD)), (idx + 3, draw(_COORD)), (TOP, draw(_COORD))]
     t = LexVector([(idx, draw(st.fractions(0, 1, max_denominator=5)))] + lower)
     assume(ZERO < t < LexVector.unit(idx))
     return t

@@ -121,7 +121,7 @@ def long_tree_points(draw):
     n = length_vector(Word._make(g.letters[:cut], True))
     if cut < len(letters):
         idx = letters[cut][0]
-        lower = [] if idx is TOP else [(idx + 1, draw(_TAIL)), (TOP, draw(_TAIL))]
+        lower = [] if idx == TOP else [(idx + 1, draw(_TAIL)), (TOP, draw(_TAIL))]
         extra = LexVector([(idx, draw(st.fractions(0, 1, max_denominator=7)))] + lower)
         if ZERO < extra < LexVector.unit(idx):
             n = n + extra

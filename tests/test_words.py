@@ -107,7 +107,7 @@ def test_a_generator_is_read_with_no_sign():
     # the letter argument of ball-letter and embed-compare; edge-point text keeps its signed letter
     assert parse_generator("a3") == 3
     assert parse_generator(" a1000000 ") == 1_000_000
-    assert parse_generator("b") is TOP
+    assert parse_generator("b") == TOP
     for text in ("a3^-1", "a3^1", "a3^2", "b^-1", "a3 a4", "", "c"):
         with pytest.raises(ParseError, match="^bad letter token"):
             parse_generator(text)
@@ -473,6 +473,11 @@ def test_harmonic_word_examples():
     assert harmonic_word(0) == IDENTITY
     with pytest.raises(BigFreeError, match="truncation depth"):
         harmonic_word(-1)
+    assert harmonic_word(MAX_WORD_LETTERS).letters[-1] == (MAX_WORD_LETTERS, 1)  # the last rank, not TOP
+    for k in (MAX_WORD_LETTERS + 1, 10**12, 10**5000):
+        with pytest.raises(ResourceLimitError) as info:
+            harmonic_word(k)  # refused before any letter is built
+        assert str(info.value) == "harmonic word would exceed 1000000 letters"  # the depth is not echoed
 
 
 def test_stream_truncations_are_cauchy():

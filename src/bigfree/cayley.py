@@ -31,6 +31,7 @@ from .ordered_abelian import (
     ParseError,
     ResourceLimitError,
     ZERO,
+    _format_coord,
     check_index,
     read_number,
 )
@@ -144,9 +145,9 @@ def embed_compare(w: Word, index: AlphabetIndex, points: int = 100) -> EmbedRepo
         raise BigFreeError("base word must be reduced")
     check_index(index)
     if points < 1:
-        raise BigFreeError(f"points must be at least 1, got {points}")
+        raise BigFreeError(f"points must be at least 1, got {_format_coord(points)}")
     if points > MAX_EMBED_POINTS:
-        raise ResourceLimitError(f"points must be at most {MAX_EMBED_POINTS}, got {points}")
+        raise ResourceLimitError(f"points must be at most {MAX_EMBED_POINTS}, got {_format_coord(points)}")
     ts = [Fraction(k, points) for k in range(points + 1)]
     ss = default_s_grid(index)
     unit = LexVector.unit(index)
@@ -201,7 +202,7 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     if max_len < 0 or max_letter < 0:
         raise BigFreeError("ball radius and letter bound must be >= 0")
     if cap < 1:
-        raise BigFreeError(f"ball vertex cap must be >= 1, got {cap}")
+        raise BigFreeError(f"ball vertex cap must be >= 1, got {_format_coord(cap)}")
     vertex_count = letter_count = 0
     for length, count in enumerate(reduced_word_counts(max_len, max_letter)):
         vertex_count += count

@@ -51,7 +51,7 @@ def check_index(idx: AlphabetIndex) -> None:
     whose message does not echo the rank (it may be too long to print).
     """
     if type(idx) is not int or idx < 1:
-        raise BigFreeError(f"invalid alphabet index {idx!r}")
+        raise BigFreeError(f"invalid alphabet index {_format_coord(idx)}")
     if idx > TOP:
         raise ResourceLimitError(f"letter rank must be at most {MAX_WORD_LETTERS}")
 
@@ -233,17 +233,20 @@ def half_exact(x: LexVector) -> LexVector:
     out = []
     for idx, v in x.entries:
         if not isinstance(v, int):
-            raise HalfError(f"coordinate at {index_name(idx)} is not an integer: {v}")
+            raise HalfError(f"coordinate at {index_name(idx)} is not an integer: {_format_coord(v)}")
         if v % 2:
-            raise HalfError(f"odd coordinate {v} at index {index_name(idx)}")
+            raise HalfError(f"odd coordinate {_format_coord(v)} at index {index_name(idx)}")
         out.append((idx, v // 2))
     return LexVector._make(tuple(out))
 
 
-def _format_coord(value: Coord) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+def _format_coord(value) -> str:
+    """``str(value)``, the one place a number becomes text: an int with more digits than the
+    interpreter writes (4,300 by default) is a ResourceLimitError that does not echo them."""
+    try:
+        return str(value)  # a stored Fraction is never whole, so this is its p/q
+    except ValueError:
+        raise ResourceLimitError("number too long to print") from None
 
 
 def format_vector(x: LexVector) -> str:

@@ -22,7 +22,7 @@ from random import Random
 from typing import List, Optional, Tuple
 
 from .cayley import CayleyPoint, GraphPoint, ball_graph
-from .ordered_abelian import MAX_WORD_LETTERS, TOP, LexVector, ResourceLimitError, ZERO
+from .ordered_abelian import MAX_WORD_LETTERS, TOP, LexVector, ResourceLimitError, ZERO, _format_coord
 from .tree import TreePoint
 from .triples import EdgeTriple
 from .words import IDENTITY, Cancellation, Word, _is_reduced, length_vector
@@ -30,7 +30,7 @@ from .words import IDENTITY, Cancellation, Word, _is_reduced, length_vector
 
 def _check_ranges(max_len: int, max_index: int) -> None:
     if max_len < 0 or max_index < 1:
-        raise ValueError(f"empty range: max_len={max_len}, max_index={max_index}")
+        raise ValueError(f"empty range: max_len={_format_coord(max_len)}, max_index={_format_coord(max_index)}")
     _check_rank_cap(max_index)
 
 
@@ -184,7 +184,7 @@ def random_cayley_point(rng: Random, max_len: int = 10, max_index: int = 5) -> G
 
 def random_small_vector(rng: Random, max_index: int = 4, bound: int = 2) -> LexVector:
     if max_index < 0 or bound < 0:
-        raise ValueError(f"empty range: max_index={max_index}, bound={bound}")
+        raise ValueError(f"empty range: max_index={_format_coord(max_index)}, bound={_format_coord(bound)}")
     _check_rank_cap(max_index)
     bits = rng.getrandbits
     support = rng.sample(range(1, max_index + 1), _below(bits, min(3, max_index) + 1))

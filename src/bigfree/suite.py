@@ -266,11 +266,11 @@ def _zero_hyperbolic_law(sample: Callable[[Random], object], height, d, message:
 
 
 def _check_word_metric_exhaustive(rec: _Recorder, rng: Random, samples: int) -> None:
-    # The checker's axiom 1 at the products makes the diagonal c(j, j) = L(j); its
-    # ultrametric law on c then gives c(j, k) <= L(j) and, for c(i, j) <= c(j, k),
-    # c(i, k) >= c(i, j), which together are d(i, k) <= d(i, j) + d(j, k).  So the
-    # certificate also decides the triangle law.  A violation before the certificate
-    # leaves both laws undecided.
+    # The checker reads word_dist itself, the production metric.  Its axiom 1 at each
+    # d(j, j) makes the diagonal c(j, j) = L(j); its ultrametric law on c then gives
+    # c(j, k) <= L(j) and, for c(i, j) <= c(j, k), c(i, k) >= c(i, j), which together
+    # are d(i, k) <= d(i, j) + d(j, k).  So the certificate also decides the triangle
+    # law.  A violation before the certificate leaves both laws undecided.
     words = sampling.enumerate_reduced_words(3, 3)
     n = len(words)
     violation = check_length_axioms(bf_length_oracle(), words)

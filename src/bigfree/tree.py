@@ -27,6 +27,7 @@ from .ordered_abelian import (
     LexVector,
     ParseError,
     ZERO,
+    _format_coord,
     check_index,
     half_exact,
     index_name,
@@ -41,13 +42,13 @@ from .words import (
     common_prefix,
     format_word,
     gromov,
-    inverse,
     length_vector,
     letter_name,
     multiply,
     parse_letter_token,
     parse_word,
     reduce,
+    word_dist,
 )
 
 
@@ -176,14 +177,15 @@ class EdgePoint:
     def __init__(self, w: Word, index: AlphabetIndex, sign: int, t):
         check_index(index)
         if sign not in (1, -1):
-            raise BigFreeError(f"edge sign must be +1 or -1, got {sign!r}")
+            raise BigFreeError(f"edge sign must be +1 or -1, got {_format_coord(sign)}")
         if not w.reduced:
             raise BigFreeError("edge base word must be reduced")
         if w.letters and w.letters[-1] == (index, -sign):
             raise BigFreeError("non-canonical edge point: base word ends in the inverse letter")
         t = self._coerce(t)
         if not (self._vector(index, t).sign() > 0 and t < self._span(index)):  # 0 < t < span
-            raise BigFreeError(f"edge offset {t} outside (0, {self._span(index)}) for index {index_name(index)}")
+            raise BigFreeError(
+                f"edge offset {_format_coord(t)} outside (0, {self._span(index)}) for index {index_name(index)}")
         self.w = w
         self.index = index
         self.sign = sign
@@ -296,7 +298,7 @@ def format_edge_point(x) -> str:
     """A bare word, or ``(<word> ; <letter>^<sign> ; <offset>)``."""
     if isinstance(x, Word):
         return format_word(x)
-    return f"({format_word(x.w)} ; {letter_name(x.index)}^{x.sign} ; {x.t})"
+    return f"({format_word(x.w)} ; {letter_name(x.index)}^{x.sign} ; {_format_coord(x.t)})"
 
 
 def parse_edge_point(text: str, build: Callable):
@@ -319,12 +321,10 @@ def parse_edge_point(text: str, build: Callable):
 # -- length-function axioms ---------------------------------------------------
 
 class LengthOracle(NamedTuple):
-    """Group operations plus a candidate length map into the ordered group."""
+    """A candidate length function L, given by the identity and its distance d(g, h) = L(g^-1 h)."""
 
-    multiply: Callable
-    inverse: Callable
+    distance: Callable
     identity: object
-    length: Callable
 
 
 class AxiomViolation(NamedTuple):
@@ -334,30 +334,30 @@ class AxiomViolation(NamedTuple):
 
 
 def bf_length_oracle() -> LengthOracle:
-    """The letter-count length function on reduced words."""
-    return LengthOracle(multiply=multiply, inverse=inverse, identity=IDENTITY, length=length_vector)
+    """The letter-count length function on reduced words, read by the prefix scan ``word_dist``."""
+    return LengthOracle(distance=word_dist, identity=IDENTITY)
 
 
 def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[AxiomViolation]:
     """First violation of the length-function axioms over the sample, or None.
 
-    The sample should be closed under inverses; products are only ever formed
-    pairwise inside Gromov products.  Axioms: (1) zero length exactly at the
-    identity, on the sample and on each product g^-1 h formed (zero exactly
-    when g == h), (2) inverse symmetry, (3) the ultrametric inequality
-    c(g,h) >= min{c(g,k), c(h,k)} for all sample triples, with every doubled
-    product even (so each c lies in the lattice).  An axiom-3 witness is the
-    triple ``ultrametric_violation`` fails on, not the first in a fixed order.
+    The sample should be closed under inverses.  Each length read is a distance,
+    L(g) = d(1, g), L(g^-1) = d(g, 1) and L(g^-1 h) = d(g, h): no product is formed.
+    Axioms: (1) zero length exactly at the identity, on the sample and on each
+    distance d(g, h) (zero exactly when g == h), (2) inverse symmetry, (3) the
+    ultrametric inequality c(g,h) >= min{c(g,k), c(h,k)} for all sample triples,
+    with every doubled product even (so each c lies in the lattice).  An axiom-3
+    witness is the triple ``ultrametric_violation`` fails on, not the first in a fixed order.
     """
     elems = list(sample)
-    lengths = [oracle.length(g) for g in elems]
+    lengths = [oracle.distance(oracle.identity, g) for g in elems]
     for g, lg in zip(elems, lengths):
         zero_len = lg == ZERO
         is_id = g == oracle.identity
         if zero_len != is_id:
             return AxiomViolation("axiom1", (g,), f"L({g!r}) = {lg} but identity is {is_id}")
     for g, lg in zip(elems, lengths):
-        li = oracle.length(oracle.inverse(g))
+        li = oracle.distance(g, oracle.identity)
         if li != lg:
             return AxiomViolation("axiom2", (g,), f"L(g) = {lg} != {li} = L(g^-1)")
 
@@ -365,10 +365,9 @@ def check_length_axioms(oracle: LengthOracle, sample: Sequence) -> Optional[Axio
     products = [[None] * n for _ in range(n)]
     for i in range(n):
         g = elems[i]
-        gi_inv = oracle.inverse(g)
         for j in range(i, n):
             h = elems[j]
-            d = oracle.length(oracle.multiply(gi_inv, h))
+            d = oracle.distance(g, h)
             if (d == ZERO) != (g == h):
                 return AxiomViolation("axiom1", (g, h), f"L(g^-1 h) = {d} but g == h is {g == h}")
             two_c = lengths[i] + lengths[j] - d

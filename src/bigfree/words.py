@@ -23,6 +23,7 @@ from .ordered_abelian import (
     MAX_WORD_LETTERS,
     ParseError,
     ResourceLimitError,
+    _format_coord,
     check_index,
     read_number,
 )
@@ -33,7 +34,7 @@ Letter = Tuple[AlphabetIndex, int]
 def letter(idx: AlphabetIndex, sign: int = 1) -> Letter:
     check_index(idx)
     if sign not in (1, -1):
-        raise BigFreeError(f"letter sign must be +1 or -1, got {sign!r}")
+        raise BigFreeError(f"letter sign must be +1 or -1, got {_format_coord(sign)}")
     return (idx, sign)
 
 
@@ -178,8 +179,8 @@ def gromov(g: Word, h: Word) -> LexVector:
     vector of the longest common prefix, so this reduces both arguments and
     counts the letters of that prefix: integral by construction, with no
     product, no inverse and no halving.  The definitional formula is kept
-    only as an oracle (the ``words/gromov-equals-prefix`` suite property,
-    and ``check_length_axioms`` for arbitrary length functions).
+    only as an oracle (the ``words/gromov-equals-prefix`` suite property);
+    ``check_length_axioms`` forms it from a length function's distances.
     """
     g, h = reduce(g), reduce(h)
     return _count_vector(g.letters[:_prefix_len(g.letters, h.letters)])
@@ -249,13 +250,13 @@ class Cancellation:
         seen: set = set()
         for i, j in pairs:
             if not (isinstance(i, int) and isinstance(j, int)) or i < 1 or j < 1:
-                raise BigFreeError(f"positions must be integers >= 1, got {(i, j)!r}")
+                raise BigFreeError(f"positions must be integers >= 1, got ({_format_coord(i)}, {_format_coord(j)})")
             if i == j:
-                raise BigFreeError(f"pairing must be fixed-point-free, got {i}-{j}")
+                raise BigFreeError(f"pairing must be fixed-point-free, got {_format_coord(i)}-{_format_coord(j)}")
             lo, hi = (i, j) if i < j else (j, i)
             for p in (lo, hi):
                 if p in seen:
-                    raise BigFreeError(f"position {p} occurs in more than one pair")
+                    raise BigFreeError(f"position {_format_coord(p)} occurs in more than one pair")
                 seen.add(p)
             canon.append((lo, hi))
         canon.sort()
@@ -314,7 +315,7 @@ def verify_cancellation(w: Word, c: Cancellation) -> CancellationCheck:
     partner = c.partner_map()
     for p in partner:
         if p > n:
-            raise BigFreeError(f"position {p} out of range for a word of length {n}")
+            raise BigFreeError(f"position {_format_coord(p)} out of range for a word of length {n}")
     ends = sorted(partner)
     rank = {p: r for r, p in enumerate(ends)}
     crossed = set()  # lower ends of pairs crossed by a pair that opens inside them

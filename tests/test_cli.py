@@ -23,7 +23,7 @@ from bigfree import cli
 from bigfree.cli import main
 from bigfree.ordered_abelian import LexVector, read_number
 from bigfree.tree import bf_length_oracle
-from bigfree.words import length_vector
+from bigfree.words import word_dist
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -51,6 +51,22 @@ def test_numbers_past_the_int_digit_limit_are_one_line_errors(capsys, argv):
     assert (code, out) == (1, "")
     assert err.startswith("error: number too long") and err.count("\n") == 1
     assert "internal error" not in err
+
+
+_N, _M = "9" * 4300, "9" * 4299 + "7"  # each read, but the answers below have more digits than str() writes
+
+
+@pytest.mark.parametrize("argv", [
+    ["triple-dist", f"( ; a1^1 ; [0,{_N}])", f"( ; a1^-1 ; [0,{_N}])"],
+    ["tree-act", "a2", f"[0,{_N}] @ a1"],
+    ["cayley-dist", f"( ; a1^1 ; 1/{_N})", f"( ; a1^-1 ; 1/{_M})"],
+    ["from-triple", f"(a2 ; a1^1 ; [0,{_N}])"],
+], ids=["triple-dist", "tree-act", "cayley-dist", "from-triple"])
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter's int() has no digit limit")
+def test_answers_past_the_int_digit_limit_are_one_line_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: number too long to print\n")
 
 
 def test_a_letter_rank_at_the_cap_is_answered(capsys):
@@ -107,10 +123,10 @@ def test_internal_errors_exit_three_with_one_line(capsys, monkeypatch):
 
 
 def test_axioms_check_reports_a_violation_as_text_and_json(capsys, monkeypatch):
-    # the bf length plus L(a9) off the identity: each 2 c(g, h) of distinct non-identity words is odd
+    # the bf distance plus L(a9) off the diagonal: each 2 c(g, h) of distinct non-identity words is odd
     nine = LexVector.unit(9)
     monkeypatch.setattr(bigfree.tree, "bf_length_oracle", lambda: bf_length_oracle()._replace(
-        length=lambda g: length_vector(g) + nine if g.letters else length_vector(g)))
+        distance=lambda g, h: word_dist(g, h) + nine if g != h else word_dist(g, h)))
     argv = ["axioms-check", "--max-len", "1", "--max-letter", "1"]
     message = "2 c(g,h) = [0,0,0,0,0,0,0,0,1] is not evenly divisible"
     assert run(capsys, *argv) == (1, f"violation integrality: {message}\n", "")

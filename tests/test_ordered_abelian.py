@@ -23,7 +23,9 @@ from bigfree.ordered_abelian import (
     read_number,
 )
 from bigfree import words
-from bigfree.sampling import random_small_vector
+from bigfree.cayley import ball_graph, embed_compare
+from bigfree.sampling import random_reduced_word, random_small_vector
+from bigfree.triples import EdgeTriple
 
 from helpers import vec
 
@@ -210,6 +212,32 @@ def test_read_number_refuses_more_digits_than_int_converts_without_echoing_them(
         with pytest.raises(ResourceLimitError) as info:
             read_number(text, fraction)
         assert str(info.value).startswith("number too long") and "99" not in str(info.value)
+
+
+_HUGE = -10**5000  # past the digits the interpreter turns into text
+
+
+@pytest.mark.parametrize("refuse", [
+    lambda: check_index(_HUGE),
+    lambda: LexVector([(_HUGE, 1)]),
+    lambda: words.letter(1, _HUGE),
+    lambda: words.Cancellation([(_HUGE, 2)]),
+    lambda: words.verify_cancellation(words.parse_word("a1 a1^-1"), words.Cancellation([(1, -_HUGE)])),
+    lambda: half_exact(LexVector.unit(1, 1 - _HUGE)),
+    lambda: EdgeTriple(words.IDENTITY, 1, _HUGE, LexVector.unit(1)),
+    lambda: embed_compare(words.IDENTITY, 1, _HUGE),
+    lambda: embed_compare(words.IDENTITY, 1, -_HUGE),
+    lambda: ball_graph(words.IDENTITY, 1, 1, cap=_HUGE),
+    lambda: random_reduced_word(Random(0), _HUGE, 2),
+    lambda: random_small_vector(Random(0), 2, _HUGE),
+], ids=["check_index", "LexVector", "letter-sign", "Cancellation", "pair-out-of-range", "odd-half", "EdgeTriple-sign",
+        "points-low", "points-high", "ball-cap", "sampler-ranges", "small-vector"])
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter's int() has no digit limit")
+def test_a_refused_int_too_long_to_print_is_a_one_line_error(refuse):
+    with pytest.raises(ResourceLimitError) as info:
+        refuse()
+    assert str(info.value) == "number too long to print"
 
 
 def test_parse_rejects_malformed():

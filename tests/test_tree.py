@@ -228,30 +228,39 @@ def test_y_point_is_the_median_by_products(words):
 def test_broken_oracle_violates_axiom_one():
     base = bf_length_oracle()
     broken = LengthOracle(
-        multiply=base.multiply,
-        inverse=base.inverse,
+        distance=lambda g, h: word_dist(g, h) if g != h else vec(1),
         identity=base.identity,
-        length=lambda g: length_vector(g) if g.letters else vec(1),
     )
     violation = check_length_axioms(broken, enumerate_reduced_words(2, 2))
-    assert violation is not None
-    assert violation.axiom == "axiom1"
-    assert violation.elements == (IDENTITY,)
+    assert violation == ("axiom1", (IDENTITY,), "L(Word('')) = [1] but identity is True")
 
 
 def test_a_zero_length_product_of_distinct_elements_violates_axiom_one():
-    # a1^-1 a2 is formed from the pair (a1, a2) but is not in the sample itself
-    product = W("a1^-1 a2")
+    # d(a1, a2) = L(a1^-1 a2), and a1^-1 a2 is not in the sample itself
+    pair = (W("a1"), W("a2"))
     base = bf_length_oracle()
-    broken = base._replace(length=lambda g: ZERO if g == product else length_vector(g))
+    broken = base._replace(distance=lambda g, h: ZERO if (g, h) == pair else word_dist(g, h))
     violation = check_length_axioms(broken, enumerate_reduced_words(1, 2))
-    assert violation == ("axiom1", (W("a1"), W("a2")), "L(g^-1 h) = [] but g == h is False")
+    assert violation == ("axiom1", pair, "L(g^-1 h) = [] but g == h is False")
+
+
+def test_the_checker_forms_no_product_and_no_inverse(monkeypatch):
+    def boom(*args):
+        raise AssertionError("the checker formed a product or an inverse")
+
+    monkeypatch.setattr(bigfree.tree, "multiply", boom)
+    monkeypatch.setattr(bigfree.tree, "inverse", boom, raising=False)
+    assert check_length_axioms(bf_length_oracle(), enumerate_reduced_words(2, 2)) is None
 
 
 def bumped_oracle(bumped):
-    """The bf length plus L(a9) on each word that ``bumped`` picks."""
+    """The bf distance plus L(a9) on each d(g, h) whose word g^-1 h ``bumped`` picks."""
     nine = LexVector.unit(9)
-    return bf_length_oracle()._replace(length=lambda g: length_vector(g) + nine if bumped(g) else length_vector(g))
+
+    def distance(g, h):
+        d = word_dist(g, h)
+        return d + nine if bumped(multiply(inverse(g), h)) else d
+    return bf_length_oracle()._replace(distance=distance)
 
 
 @pytest.mark.parametrize("bumped, axiom, elements, message", [
@@ -271,12 +280,12 @@ def test_length_axiom_checker_lets_defects_propagate(monkeypatch):
     # only a failed halving is an integrality violation; any other error is a defect
     base = bf_length_oracle()
 
-    def defective_length(g):
-        if len(g.letters) > 2:
+    def defective_distance(g, h):
+        if len(multiply(inverse(g), h).letters) > 2:
             raise TypeError("defective length")
-        return length_vector(g)
+        return word_dist(g, h)
 
-    broken = LengthOracle(base.multiply, base.inverse, base.identity, defective_length)
+    broken = LengthOracle(defective_distance, base.identity)
     with pytest.raises(TypeError, match="defective length"):
         check_length_axioms(broken, enumerate_reduced_words(2, 2))
 
@@ -289,14 +298,9 @@ def test_length_axiom_checker_lets_defects_propagate(monkeypatch):
 
 
 def test_free_abelian_rank_two_violates_ultrametric_at_a_b_ab():
-    def abel_mul(g, h):
-        return (g[0] + h[0], g[1] + h[1])
-
     oracle = LengthOracle(
-        multiply=abel_mul,
-        inverse=lambda g: (-g[0], -g[1]),
+        distance=lambda g, h: LexVector.unit(1, abs(h[0] - g[0]) + abs(h[1] - g[1])),
         identity=(0, 0),
-        length=lambda g: LexVector.unit(1, abs(g[0]) + abs(g[1])),
     )
     a, b, ab = (1, 0), (0, 1), (1, 1)
     sample = [a, b, ab, (-1, 0), (0, -1), (-1, -1)]

@@ -7,14 +7,14 @@ metric: the position of a point is L(w) + t L(a), and the tree's formula
 subtracts twice the smallest of the two positions and the Gromov product of
 the far endpoints.  The embedding comparison samples the graph edge at
 t = k/points only, so no float enters its grid.  A finite ball is a tree
-built length by length from the bottom of the center's prefix chain: each
-child is its parent's letters plus one, so no product is formed, and the
-walk yields the vertices by length and then by letter with no sort.  The
-DOT and JSON exports find each word's prefix, parent and child by position
-in that order, and keep each vertex's text with the text before its last
-run and the run's length, so a child's text is its prefix's plus one token
-or one higher power.  The identity's ball is also the exhaustive word
-list of the suites and tests.
+held as its vertices and each one's prefix position, built length by length
+from the bottom of the center's prefix chain: each child is its parent's
+letters plus one, so no product is formed, and the walk yields the vertices
+by length and then by letter with no sort.  The DOT and JSON exports read
+each word's prefix at its position, and keep each vertex's text with the
+text before its last run and the run's length, so a child's text is its
+prefix's plus one token or one higher power.  The identity's ball is also
+the exhaustive word list of the suites and tests.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .words import (
     Letter,
     Word,
     format_word,
+    inverse_letter,
     letter,
     letter_name,
     multiply,
@@ -163,42 +164,44 @@ def embed_compare(w: Word, index: AlphabetIndex, points: int = 100) -> EmbedRepo
 # -- finite balls -----------------------------------------------------------------
 
 class BallGraph(NamedTuple):
-    """Tree of all words within a letter-count radius of the center.
+    """Tree of all words within a letter-count radius of the center, held as a prefix tree.
 
-    Each edge is a (parent, letter, child) triple with child = parent *
-    letter and the parent nearer the center.  Vertices are sorted by length,
-    then letter by letter (by index, positive letter first), so
-    ``vertices[0]`` is the one vertex whose prefix is not a vertex.  Edges
-    are sorted by their parent's place among the vertices, then by letter.
-    ``ball_dot`` and ``ball_json`` need this order, and refuse a graph built
-    by hand in any other.
+    ``prefix[i]`` is the position of ``vertices[i].letters[:-1]``, and -1 for ``vertices[0]``,
+    whose prefix is not a vertex.  ``ball_graph`` lists the vertices by length, then letter by
+    letter (by index, positive letter first), so ``prefix`` never decreases.  A graph built by
+    hand is read in any order that keeps each prefix before its vertex and holds the center.
     """
 
     center: Word
     vertices: Tuple[Word, ...]
-    edges: Tuple[Tuple[Word, Letter, Word], ...]  # (parent, letter, child)
+    prefix: Tuple[int, ...]
+
+    @property
+    def edges(self) -> Tuple[Tuple[Word, Letter, Word], ...]:
+        """(parent, letter, child) with child = parent * letter, joining each vertex past the first
+        to its prefix, the parent nearer the center; by the parent's position, then by letter."""
+        vertices, prefix = self.vertices, self.prefix
+        words, order, _ = _edge_order(self)
+        return tuple((vertices[prefix[i]], words[i][-1], vertices[i]) if i > 0 else
+                     (vertices[~i], inverse_letter(words[~i][-1]), vertices[prefix[~i]]) for i in order)
 
 
 def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) -> BallGraph:
-    """All reduced words within max_len letters of the center.
+    """All reduced words within max_len letters of the center, over letters of index <= max_letter.
 
-    Uses letters of index <= max_letter; the result is a tree rooted at the
-    center.  A cap below 1 is refused.  Raises ResourceLimitError when the
-    vertex count would pass cap, or the letters of all vertices would pass
-    MAX_WORD_LETTERS.  Both are counted length by length before any vertex
-    is built, charging each vertex the center's letters plus its distance.
-
-    The walk goes by length.  It starts at the bottom of the center's prefix
-    chain: the center less the trailing letters that the radius allows and
-    the alphabet holds, the one vertex whose prefix is outside the ball.
-    Each word is extended by each letter in rank order but the one that
-    cancels, and a child is kept while its distance, the parent's less one
-    along the chain and plus one off it, is within the radius.  A chain
-    word's edge back toward the bottom takes the slot of the letter that
-    cancels.  So the result is in ``BallGraph``'s order with no sort.
+    A radius, letter bound or cap that is not an int, or a cap below 1, is refused.  Raises
+    ResourceLimitError when the vertex count would pass cap, or the letters of all vertices
+    would pass MAX_WORD_LETTERS: both counted length by length before any vertex is built, each
+    vertex charged the center's letters plus its distance.  The walk goes by length from the
+    bottom of the center's prefix chain (the center less the trailing letters the radius allows
+    and the alphabet holds), extends each word in letter rank order, and keeps a child, with its
+    parent's position as its prefix, while within the radius.  So nothing is sorted.
     """
     if not center.reduced:
         raise BigFreeError("ball center must be reduced")
+    for what, n in (("radius", max_len), ("letter bound", max_letter), ("vertex cap", cap)):
+        if type(n) is not int:
+            raise BigFreeError(f"ball {what} must be an int, got {type(n).__name__}")
     if max_len < 0 or max_letter < 0:
         raise BigFreeError("ball radius and letter bound must be >= 0")
     if cap < 1:
@@ -212,118 +215,112 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
         if letter_count > MAX_WORD_LETTERS:
             raise ResourceLimitError(f"ball would exceed {MAX_WORD_LETTERS} letters in all")
     # radius 0 uses no letter; otherwise the count above keeps the alphabet below cap
-    alphabet = [(k, s) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
-    steps = [(lt, (lt,)) for lt in alphabet]  # (letter, as letters), in rank order
-    after = {lt: [st for st in steps if st[0] != (lt[0], -lt[1])] for lt in alphabet}  # the steps not undoing lt
+    ones = [((k, s),) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
+    after = {one: [o for o in ones if o != ((one[0][0], -one[0][1]),)] for one in ones}  # not undoing one
     chain = center.letters
-    top = len(chain)
-    bottom = top
-    while bottom > max(top - max_len, 0) and chain[bottom - 1] in after:
+    top = bottom = len(chain)
+    while bottom > max(top - max_len, 0) and chain[bottom - 1:bottom] in after:
         bottom -= 1
     link = center if bottom == top else Word._make(chain[:bottom], True)  # the chain word of the current length
-    below = None  # the chain word one letter shorter
     new = object.__new__
-    vertices = [link]
-    edges = []
+    vertices, prefix = [link], [-1]
     level, dists = [link], [top - bottom]  # the words of one length, and their distances to the center
     for length in range(bottom, top + max_len):
         longer, farther = [], []
-        for v, d in zip(level, dists):
+        for p, (v, d) in enumerate(zip(level, dists), len(vertices) - len(level)):
             letters = v.letters
-            if v is link:  # a chain word: one step up the chain, one back down it
-                up = chain[length] if length < top else None
-                undo = (letters[-1][0], -letters[-1][1]) if letters else None
-                for lt, one in steps:
-                    if lt == undo:
-                        if below is not None:  # the bottom's prefix is outside the ball
-                            edges.append((v, lt, below))
-                    elif lt == up or d < max_len:  # only the bottom can lie on the radius
+            if v is link:  # a chain word: one step up the chain, none back down it
+                up = chain[length:length + 1]
+                for one in after.get(letters[-1:], ones):  # the bottom may end outside the alphabet
+                    if one == up or d < max_len:  # only the bottom can lie on the radius
                         child = new(Word)
                         child.letters = letters + one
                         child.reduced = True
                         longer.append(child)
-                        if lt == up:
-                            farther.append(d - 1)
+                        prefix.append(p)
+                        farther.append(d - 1 if one == up else d + 1)
+                        if one == up:
                             link = child
-                        else:
-                            farther.append(d + 1)
-                            edges.append((v, lt, child))
-                below = v
             elif d < max_len:
-                d += 1
-                for lt, one in after[letters[-1]]:
+                for one in after[letters[-1:]]:
                     child = new(Word)
                     child.letters = letters + one
                     child.reduced = True
-                    edges.append((v, lt, child))
                     longer.append(child)
-                    farther.append(d)
+                    prefix.append(p)
+                    farther.append(d + 1)
         if not longer:
             break
         vertices += longer
         level, dists = longer, farther
-    return BallGraph(center, tuple(vertices), tuple(edges))
+    return BallGraph(center, tuple(vertices), tuple(prefix))
+
+
+def _edge_order(graph: BallGraph) -> tuple:
+    """The vertices' letters, the edges in ``BallGraph.edges``' order, and the center's position.
+
+    Edge i joins vertex i to its prefix; ~c, from c on the center's prefix chain back to its
+    prefix, is merged in place, with no sort.  The same pass refuses a graph unless each prefix
+    comes before its vertex and is its letters less the last, and the center is a vertex.
+    """
+    words = [v.letters for v in graph.vertices]
+    prefix, want, n = graph.prefix, graph.center.letters, len(words)
+    refusal = BigFreeError("ball export needs the vertex and edge order of ball_graph")
+    if len(prefix) != n or not n or prefix[0] != -1:
+        raise refusal
+    # an edge sorts as (parent, k, -s) for its letter (k, s), so the edge back from chain vertex c ending
+    # in (k, s) sorts as (c, k, s); waiting holds those not placed yet, in order, then (n,); due: its first
+    order, waiting, tip, due = [], [(n,)], 0, n
+    for i in range(1, n):
+        p, letters = prefix[i], words[i]
+        if type(p) is not int or not 0 <= p < i or not letters or letters[:-1] != words[p]:
+            raise refusal
+        if p >= due:
+            key = (p, letters[-1][0], -letters[-1][1])
+            while waiting[0] < key:
+                order.append(~waiting.pop(0)[0])
+            due = waiting[0][0]
+        if p == tip and want[:len(letters)] == letters:
+            waiting.insert(-1, (i, *letters[-1]))
+            tip, due = i, waiting[0][0]
+        else:
+            order.append(i)
+    if words[tip] != want:
+        raise refusal
+    return words, order + [~c[0] for c in waiting[:-1]], tip
 
 
 def _labels(graph: BallGraph, quote: Callable[[str], str], tail: Callable[[Letter], object]) -> tuple:
-    """Each vertex's quoted text in vertex order, the center's, and
-    (parent, child, tail(letter)) for each edge, with tail called once per letter.
+    """Each vertex's quoted text in vertex order, the center's, and (parent, child, tail(letter))
+    for each edge in ``_edge_order``'s order, with tail called once per letter.
 
-    Words are found by position in the order ``BallGraph`` states, and a
-    graph in any other order, or with a vertex letter that neither the center
-    nor an edge carries, is refused.  A vertex's prefix is found under a
-    pointer that only moves forward, and so are an edge's parent and an
-    extending edge's child; a backtracking edge's child is its parent's
-    prefix.  Each text is kept with its head (the text before its last run)
-    and the run's length: a letter that repeats the prefix's last letter
-    raises the run's power on the prefix's head, any other adds a token to
-    the prefix's text.  Only ``vertices[0]`` is formatted whole.
+    Each text is kept with its head (the text before its last run), the run's length and its
+    last letter: a letter that repeats the last letter of the prefix, read at its position,
+    raises the run's power on the prefix's head, any other adds a token to the prefix's text.
     """
-    vertices = graph.vertices
-    words = [v.letters for v in vertices]
-    index = words.index
-    names = {lt: letter_name(lt[0]) for lt in {*graph.center.letters, *map(itemgetter(1), graph.edges)}}
+    words, order, center = _edge_order(graph)
+    prefix = graph.prefix
+    back = {inverse_letter(lt) for lt in graph.center.letters[len(words[0]):]}  # the letters of reversed edges
+    names = {lt: letter_name(lt[0]) for lt in {*map(itemgetter(-1), words[1:]), *back}}
     ones = {lt: name if lt[1] > 0 else f"{name}^-1" for lt, name in names.items()}
-    # a search that finds nothing, a pointer past the words labelled so far, or a vertex
-    # letter that neither the center nor an edge carries (no name) is out of order
-    try:
-        text = format_word(vertices[0])
-        head, _, token = text.rpartition(" ")
-        # records[i]: the text of vertices[i], its head, its last run's length and its prefix's place
-        records = [(text, head, abs(int(token.partition("^")[2] or 1)), 0)]
-        q = 0
-        for letters in words[1:]:
-            prefix = letters[:-1]
-            if prefix != words[q]:
-                q = index(prefix, q + 1)
-            last = letters[-1]
-            text, head, n, _ = records[q]
-            if prefix and prefix[-1] == last:
-                n += 1
-                token = f"{names[last]}^{n * last[1]}"
-            else:
-                head, n, token = text, 1, ones[last]
-            records.append((f"{head} {token}" if head else token, head, n, q))
-        quoted = [quote(record[0]) for record in records]
-        tails = {lt: tail(lt) for lt in names}
-        labelled = []
-        p = c = 0
-        for parent, lt, child in graph.edges:
-            if parent is not vertices[p]:
-                p = index(parent.letters, p)
-            if len(child.letters) > len(words[p]):  # an extending edge: its child is the next one found
-                c += 1
-                if child is not vertices[c]:
-                    c = index(child.letters, c)
-                labelled.append((quoted[p], quoted[c], tails[lt]))
-            else:  # a backtracking edge: its child is its parent's prefix
-                k = records[p][3]
-                if not p or child.letters != words[k]:
-                    raise ValueError
-                labelled.append((quoted[p], quoted[k], tails[lt]))
-        return quoted, quoted[index(graph.center.letters)], labelled
-    except (IndexError, KeyError, ValueError):
-        raise BigFreeError("ball export needs the vertex and edge order of ball_graph") from None
+    text = format_word(graph.vertices[0])
+    head, _, token = text.rpartition(" ")
+    # records[i]: the text of vertices[i], its head, its last run's length and its last letter
+    records = [(text, head, abs(int(token.partition("^")[2] or 1)), words[0][-1] if words[0] else None)]
+    for letters, q in zip(words[1:], prefix[1:]):
+        last = letters[-1]
+        text, head, n, before = records[q]
+        if last == before:
+            n += 1
+            token = f"{names[last]}^{n * last[1]}"
+        else:
+            head, n, token = text, 1, ones[last]
+        records.append((f"{head} {token}" if head else token, head, n, last))
+    quoted = [quote(record[0]) for record in records]
+    tails = {lt: tail(lt) for lt in names}
+    edges = [(quoted[prefix[i]], quoted[i], tails[words[i][-1]]) if i > 0 else
+             (quoted[~i], quoted[prefix[~i]], tails[inverse_letter(words[~i][-1])]) for i in order]
+    return quoted, quoted[center], edges
 
 
 def ball_dot(graph: BallGraph) -> str:

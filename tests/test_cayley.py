@@ -177,6 +177,20 @@ def test_ball_cap_guard():
             ball_graph(IDENTITY, 0, 3, cap=cap)
 
 
+@pytest.mark.parametrize("args, what, got", [
+    ((1.5, 2), "radius", "float"),
+    (("2", 2), "radius", "str"),
+    ((True, 2), "radius", "bool"),
+    ((1, 2.0), "letter bound", "float"),
+    ((1, False), "letter bound", "bool"),
+    ((1, 2, 10.5), "vertex cap", "float"),
+    ((10**6, 10**6, 10.5), "vertex cap", "float"),  # refused before the count passes the cap
+])
+def test_ball_graph_refuses_a_radius_letter_bound_or_cap_that_is_not_an_int(args, what, got):
+    with pytest.raises(BigFreeError, match=f"^ball {what} must be an int, got {got}$"):
+        ball_graph(IDENTITY, *args)
+
+
 def test_ball_cap_fires_before_the_alphabet_is_built():
     tracemalloc.start()
     try:
@@ -263,6 +277,29 @@ def _old_exports(graph):
     return "\n".join(dot + ["}"]) + "\n", json.dumps(payload, indent=2) + "\n"
 
 
+def _check_prefix_and_edges(graph):
+    """Each prefix is its vertex's letters less the last, the prefixes never decrease, and the
+    derived edges are the vertex-prefix pairs rebuilt by multiply, ordered by parent, then letter."""
+    vertices, prefix = graph.vertices, graph.prefix
+    assert len(prefix) == len(vertices) and prefix[0] == -1
+    assert all(vertices[prefix[i]].letters == vertices[i].letters[:-1] for i in range(1, len(vertices)))
+    assert all(a <= b for a, b in zip(prefix, prefix[1:]))
+    place = {v: i for i, v in enumerate(vertices)}
+    back = inverse(graph.center)
+
+    def radius(v):
+        return len(multiply(back, v))
+
+    rebuilt = []
+    for i in range(1, len(vertices)):
+        near, far = sorted((vertices[prefix[i]], vertices[i]), key=radius)
+        step = multiply(inverse(near), far)
+        assert len(step) == 1 and multiply(near, step) == far
+        rebuilt.append((near, step.letters[0], far))
+    rebuilt.sort(key=lambda e: (place[e[0]], _old_letter_key(e[1])))
+    assert list(graph.edges) == rebuilt
+
+
 @pytest.mark.parametrize("center_text,max_len,max_letter,size", [
     ("", 0, 3, 1),
     ("a1 a2", 0, 2, 1),
@@ -282,6 +319,7 @@ def test_ball_order_and_exports_match_the_old_route(center_text, max_len, max_le
     assert pairs == sorted(pairs, key=lambda e: (_old_word_key(e[0]), _old_letter_key(e[1])))
     assert all(child == multiply(p, Word((lt,))) for p, lt, child in graph.edges)
     assert (ball_dot(graph), ball_json(graph)) == _old_exports(graph)
+    _check_prefix_and_edges(graph)
 
 
 @pytest.mark.parametrize("center_text", ["", "b a1", "a1^3", "a2^-2 a1", "a1^2 a2^-1", "a3 a1^-1 a2"])
@@ -314,24 +352,39 @@ def test_ball_vertices_are_the_center_times_each_short_word(letters, max_len, ma
     assert len(graph.vertices) == sum(reduced_word_counts(max_len, max_letter))
 
 
+def _with_prefix_at(i, p):
+    return lambda g: g._replace(prefix=g.prefix[:i] + (p,) + g.prefix[i + 1:])
+
+
 @pytest.mark.parametrize("change", [
     lambda g: g._replace(vertices=g.vertices[::-1]),
     lambda g: g._replace(vertices=g.vertices[1:] + g.vertices[:1]),
-    lambda g: g._replace(edges=g.edges[::-1]),
     lambda g: g._replace(center=W("a4")),
-], ids=["vertices reversed", "bottom moved last", "edges reversed", "center not a vertex"])
+    _with_prefix_at(1, 2),
+    lambda g: BallGraph(W("a1"), (IDENTITY, W("a1")), (-1, 1)),
+    _with_prefix_at(5, 3),
+    lambda g: g._replace(prefix=g.prefix[:-1]),
+    _with_prefix_at(5, 4.0),
+], ids=["vertices reversed", "bottom moved last", "center not a vertex", "prefix points forward",
+        "prefix points to itself", "prefix is another word", "prefix too short", "prefix not an int"])
 def test_ball_exports_refuse_a_graph_out_of_ball_graph_order(change):
     graph = change(ball_graph(W("a1 a2^-1"), 2, 2))
-    for export in (ball_dot, ball_json):
+    for export in (ball_dot, ball_json, lambda g: g.edges):
         with pytest.raises(BigFreeError, match="^ball export needs the vertex and edge order of ball_graph$"):
             export(graph)
 
 
-def test_ball_exports_refuse_a_vertex_letter_that_neither_the_center_nor_an_edge_carries():
-    graph = BallGraph(W("a1"), (W("a1"), W("a1 a2")), ())  # a2 names no edge
+def test_ball_exports_read_a_hand_built_prefix_tree_and_refuse_one_with_no_prefixes():
+    vertices = (W("a1"), W("a1 a2"))
     for export in (ball_dot, ball_json):
         with pytest.raises(BigFreeError, match="^ball export needs the vertex and edge order of ball_graph$"):
-            export(graph)
+            export(BallGraph(W("a1"), vertices, ()))
+    graph = BallGraph(W("a1"), vertices, (-1, 0))
+    assert graph.edges == ((W("a1"), (2, 1), W("a1 a2")),)
+    assert ball_dot(graph) == ('digraph ball {\n  "a1" [shape=doublecircle];\n  "a1 a2";\n'
+                               '  "a1" -> "a1 a2" [label="a2"];\n}\n')
+    assert json.loads(ball_json(graph)) == {"center": "a1", "vertices": ["a1", "a1 a2"],
+                                            "edges": [{"from": "a1", "to": "a1 a2", "label": "a2"}]}
 
 
 @st.composite
@@ -357,6 +410,7 @@ def test_ball_order_children_and_exports_match_the_old_routes_on_run_centers(cen
     assert len(graph.edges) == len(graph.vertices) - 1
     assert all(child == multiply(parent, Word((lt,))) for parent, lt, child in graph.edges)
     assert (ball_dot(graph), ball_json(graph)) == _old_exports(graph)
+    _check_prefix_and_edges(graph)
 
 
 # -- text form --------------------------------------------------------------------------

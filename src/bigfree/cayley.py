@@ -216,7 +216,7 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
             raise ResourceLimitError(f"ball would exceed {MAX_WORD_LETTERS} letters in all")
     # radius 0 uses no letter; otherwise the count above keeps the alphabet below cap
     ones = [((k, s),) for k in range(1, max_letter + 1) for s in (1, -1)] if max_len else []
-    after = {one: [o for o in ones if o != ((one[0][0], -one[0][1]),)] for one in ones}  # not undoing one
+    after = {one: [o for o in ones if o[0] != inverse_letter(one[0])] for one in ones}  # not undoing one
     chain = center.letters
     top = bottom = len(chain)
     while bottom > max(top - max_len, 0) and chain[bottom - 1:bottom] in after:

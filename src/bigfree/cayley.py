@@ -33,6 +33,7 @@ from .ordered_abelian import (
     ZERO,
     _format_coord,
     check_index,
+    check_int,
     read_number,
 )
 from .tree import (
@@ -145,20 +146,16 @@ def embed_compare(w: Word, index: AlphabetIndex, points: int = 100) -> EmbedRepo
     if not w.reduced:
         raise BigFreeError("base word must be reduced")
     check_index(index)
+    check_int(points, "points")
     if points < 1:
         raise BigFreeError(f"points must be at least 1, got {_format_coord(points)}")
     if points > MAX_EMBED_POINTS:
         raise ResourceLimitError(f"points must be at most {MAX_EMBED_POINTS}, got {_format_coord(points)}")
-    ts = [Fraction(k, points) for k in range(points + 1)]
     ss = default_s_grid(index)
-    unit = LexVector.unit(index)
-    lattice = set(ss)
-    matches = []
-    for t in ts:
-        image = unit.scale(t)  # common offset L(w) cancels from both sides
-        if image in lattice:
-            matches.append((t, image))
-    return EmbedReport(index, len(ts), len(ss), tuple(matches))
+    unit, lattice = LexVector.unit(index), set(ss)
+    ts = (Fraction(k, points) for k in range(points + 1))
+    matches = tuple((t, image) for t in ts if (image := unit.scale(t)) in lattice)  # the offset L(w) cancels
+    return EmbedReport(index, points + 1, len(ss), matches)
 
 
 # -- finite balls -----------------------------------------------------------------
@@ -200,8 +197,7 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
     if not center.reduced:
         raise BigFreeError("ball center must be reduced")
     for what, n in (("radius", max_len), ("letter bound", max_letter), ("vertex cap", cap)):
-        if type(n) is not int:
-            raise BigFreeError(f"ball {what} must be an int, got {type(n).__name__}")
+        check_int(n, f"ball {what}")
     if max_len < 0 or max_letter < 0:
         raise BigFreeError("ball radius and letter bound must be >= 0")
     if cap < 1:
@@ -229,26 +225,17 @@ def ball_graph(center: Word, max_len: int, max_letter: int, cap: int = 100_000) 
         longer, farther = [], []
         for p, (v, d) in enumerate(zip(level, dists), len(vertices) - len(level)):
             letters = v.letters
-            if v is link:  # a chain word: one step up the chain, none back down it
-                up = chain[length:length + 1]
-                for one in after.get(letters[-1:], ones):  # the bottom may end outside the alphabet
-                    if one == up or d < max_len:  # only the bottom can lie on the radius
-                        child = new(Word)
-                        child.letters = letters + one
-                        child.reduced = True
-                        longer.append(child)
-                        prefix.append(p)
-                        farther.append(d - 1 if one == up else d + 1)
-                        if one == up:
-                            link = child
-            elif d < max_len:
-                for one in after[letters[-1:]]:
-                    child = new(Word)
-                    child.letters = letters + one
-                    child.reduced = True
-                    longer.append(child)
-                    prefix.append(p)
-                    farther.append(d + 1)
+            up = chain[length:length + 1] if v is link else ()  # a chain word steps up the chain, never down
+            # on the radius only the bottom grows, and only up; the bottom may end outside the alphabet
+            for one in after.get(letters[-1:], ones) if d < max_len else ((up,) if up else ()):
+                child = new(Word)
+                child.letters = letters + one
+                child.reduced = True
+                longer.append(child)
+                prefix.append(p)
+                farther.append(d - 1 if one == up else d + 1)
+                if one == up:
+                    link = child
         if not longer:
             break
         vertices += longer
@@ -263,9 +250,12 @@ def _edge_order(graph: BallGraph) -> tuple:
     prefix, is merged in place, with no sort.  The same pass refuses a graph unless each prefix
     comes before its vertex and is its letters less the last, and the center is a vertex.
     """
-    words = [v.letters for v in graph.vertices]
-    prefix, want, n = graph.prefix, graph.center.letters, len(words)
     refusal = BigFreeError("ball export needs the vertex and edge order of ball_graph")
+    try:
+        words, want = [v.letters for v in graph.vertices], graph.center.letters
+    except AttributeError:  # a vertex or the center that is not a Word
+        raise refusal from None
+    prefix, n = graph.prefix, len(words)
     if len(prefix) != n or not n or prefix[0] != -1:
         raise refusal
     # an edge sorts as (parent, k, -s) for its letter (k, s), so the edge back from chain vertex c ending

@@ -56,6 +56,12 @@ def check_index(idx: AlphabetIndex) -> None:
         raise ResourceLimitError(f"letter rank must be at most {MAX_WORD_LETTERS}")
 
 
+def check_int(n, what: str) -> None:
+    """The one type gate of a count or a bound: an int, not a bool; ``what`` names it."""
+    if type(n) is not int:
+        raise BigFreeError(f"{what} must be an int, got {type(n).__name__}")
+
+
 def index_name(idx: AlphabetIndex) -> str:
     """An index as messages print it: its rank, or ``TOP``."""
     return "TOP" if idx == TOP else str(idx)

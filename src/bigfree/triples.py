@@ -27,6 +27,7 @@ from .ordered_abelian import (
     ResourceLimitError,
     ZERO,
     check_index,
+    check_int,
     index_name,
     parse_vector,
 )
@@ -245,6 +246,7 @@ def top_edge_instability(depth: int) -> List[Tuple[int, Word, TriplePoint]]:
     Raises ResourceLimitError when the depth(depth+1)/2 letters of the rows
     would pass MAX_WORD_LETTERS.
     """
+    check_int(depth, "depth")
     if depth < 0:
         raise BigFreeError("depth must be >= 0")
     if depth * (depth + 1) // 2 > MAX_WORD_LETTERS:

@@ -25,6 +25,7 @@ from .ordered_abelian import (
     ResourceLimitError,
     _format_coord,
     check_index,
+    check_int,
     read_number,
 )
 
@@ -480,6 +481,7 @@ def harmonic_word(k: int) -> Word:
     Raises ResourceLimitError past MAX_WORD_LETTERS letters, before any is
     built: the next letter would be TOP's.
     """
+    check_int(k, "truncation depth")
     if k < 0:
         raise BigFreeError("truncation depth must be >= 0")
     if k > MAX_WORD_LETTERS:  # the depth is not echoed: it may be too long to print

@@ -365,8 +365,11 @@ def _with_prefix_at(i, p):
     _with_prefix_at(5, 3),
     lambda g: g._replace(prefix=g.prefix[:-1]),
     _with_prefix_at(5, 4.0),
+    lambda g: BallGraph(IDENTITY, ("x",), (-1,)),
+    lambda g: g._replace(center="a1 a2^-1"),
 ], ids=["vertices reversed", "bottom moved last", "center not a vertex", "prefix points forward",
-        "prefix points to itself", "prefix is another word", "prefix too short", "prefix not an int"])
+        "prefix points to itself", "prefix is another word", "prefix too short", "prefix not an int",
+        "vertex not a Word", "center not a Word"])
 def test_ball_exports_refuse_a_graph_out_of_ball_graph_order(change):
     graph = change(ball_graph(W("a1 a2^-1"), 2, 2))
     for export in (ball_dot, ball_json, lambda g: g.edges):

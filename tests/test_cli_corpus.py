@@ -6,7 +6,10 @@ byte for byte.  Usage errors (exit 2) compare only the code, because
 argparse words its usage text differently across Python versions.
 
 Each case runs under a ``CASE_SECONDS`` real-time alarm, so a case that
-loops fails alone instead of hanging the run.
+loops fails alone instead of hanging the run.  Answers too large for the
+golden file (big ball exports and a long cancellation check) run under the
+same alarm in ``test_large_answers_come_within_the_case_time_bound``, which
+checks their exit code and size.
 
 Regenerate the golden file after a deliberate output change with
 ``PYTHONPATH=src python tests/test_cli_corpus.py`` and review the diff.
@@ -282,6 +285,9 @@ _OTHER = [
     # an offset past the TOP edge is named by the index, TOP, not by its rank
     ["from-triple", "( ; b^1 ; [;TOP=2])"],
     ["circle-dist", "C(b) @ [;TOP=3]", "C(a1) @ []"],
+    # long runs: a million letters cancel to the identity, and 1,200,000 letters are refused
+    ["reduce", "a1^500000 a1^-500000"],
+    ["len", "a1^600000 a1^600000"],
 ]
 
 CASES = [argv for base in _ANSWERED for argv in (base, [*base, "--json"])] + _OTHER
@@ -331,6 +337,35 @@ def test_corpus_covers_every_subcommand():
 @pytest.mark.parametrize("i", range(len(CASES)), ids=lambda i: " ".join(map(repr, CASES[i])))
 def test_cli_output_matches_its_golden_bytes(golden, i):
     assert record(CASES[i]) == golden[i]
+
+
+# answers too large for the golden file, each with its vertex count, or its text if it is no ball
+LARGE = [
+    (["ball", "5", "5", "--center", "a1 a2", "--json"], 73_811),
+    (["ball", "5", "5", "--center", "a1 a2", "--dot"], 73_811),
+    (["ball", "999", "1", "--json"], 1_999),  # one generator: runs up to a1^999
+    (["ball", "1", "1", "--center", "a1^333332", "--dot"], 3),  # 999,996 letters in all, just under the cap
+    (["ball", "6", "3", "--center", "a9 a1^3 a2^-2", "--json"], 23_437),  # a chain cut by a9
+    # 8,000 nested pairs: checked in time linear in the pairing
+    (["cancel-verify", "a1^8000 a1^-8000", ",".join(f"{i}-{16001 - i}" for i in range(1, 8001))],
+     "valid\n"),
+]
+
+
+def _answer(out):
+    """A ball export's vertex count, or any other answer's text."""
+    if out.startswith("{"):
+        return len(json.loads(out)["vertices"])
+    if out.startswith("digraph"):
+        return sum("->" not in line for line in out.splitlines()[1:-1])
+    return out
+
+
+@pytest.mark.parametrize("argv, answer", LARGE, ids=[" ".join(argv)[:48] for argv, _ in LARGE])
+def test_large_answers_come_within_the_case_time_bound(argv, answer):
+    result = record(argv)
+    assert (result["code"], result["stderr"]) == (0, "")
+    assert _answer(result["stdout"]) == answer
 
 
 def test_a_looping_case_fails_at_its_time_bound(golden, monkeypatch):

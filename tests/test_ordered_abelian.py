@@ -25,7 +25,7 @@ from bigfree.ordered_abelian import (
 from bigfree import words
 from bigfree.cayley import ball_graph, embed_compare
 from bigfree.sampling import random_reduced_word, random_small_vector
-from bigfree.triples import EdgeTriple
+from bigfree.triples import EdgeTriple, top_edge_instability
 
 from helpers import vec
 
@@ -144,8 +144,8 @@ def test_vector_text_stops_at_the_letter_rank_cap():
     assert words.MAX_WORD_LETTERS is MAX_WORD_LETTERS == 1_000_000
     assert format_vector(LexVector.unit(MAX_WORD_LETTERS, -1)).endswith(",0,-1]")
     assert format_vector(LexVector.unit(MAX_WORD_LETTERS + 1)) == "[;TOP=1]"  # the rank past the cap is TOP
-    for build in (lambda: LexVector.unit(10**11), lambda: LexVector.unit(10**5000),
-                  lambda: LexVector([(1, 1), (2_000_000, 3), (TOP, 2)])):
+    for build in (lambda: LexVector.unit(TOP + 1), lambda: LexVector.unit(10**11),
+                  lambda: LexVector.unit(10**5000), lambda: LexVector([(1, 1), (2_000_000, 3), (TOP, 2)])):
         with pytest.raises(ResourceLimitError) as info:
             build()  # refused when the vector is built, before any text
         assert str(info.value) == "letter rank must be at most 1000000"  # the rank is not echoed
@@ -171,6 +171,21 @@ def test_check_index_passes_exactly_the_ints_from_one_to_top():
             check_index(idx)
         assert not isinstance(info.value, ResourceLimitError)
     assert sorted([TOP, 3, 1]) == [1, 3, TOP]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: embed_compare(words.IDENTITY, 1, 1.5), "points must be an int, got float"),
+    (lambda: embed_compare(words.IDENTITY, 1, "3"), "points must be an int, got str"),
+    (lambda: embed_compare(words.IDENTITY, 1, True), "points must be an int, got bool"),  # not 2 grid points
+    (lambda: top_edge_instability(1.5), "depth must be an int, got float"),
+    (lambda: top_edge_instability(True), "depth must be an int, got bool"),  # not depth 1
+    (lambda: words.harmonic_word(1.5), "truncation depth must be an int, got float"),
+    (lambda: words.harmonic_word("3"), "truncation depth must be an int, got str"),
+])
+def test_a_count_that_is_not_an_int_is_refused_by_the_one_int_gate(call, message):
+    with pytest.raises(BigFreeError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_parse_format_roundtrip():

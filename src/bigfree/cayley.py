@@ -153,9 +153,9 @@ def embed_compare(w: Word, index: AlphabetIndex, points: int = 100) -> EmbedRepo
         raise ResourceLimitError(f"points must be at most {MAX_EMBED_POINTS}, got {_format_coord(points)}")
     ss = default_s_grid(index)
     unit, lattice = LexVector.unit(index), set(ss)
-    ts = (Fraction(k, points) for k in range(points + 1))
-    matches = tuple((t, image) for t in ts if (image := unit.scale(t)) in lattice)  # the offset L(w) cancels
-    return EmbedReport(index, points + 1, len(ss), matches)
+    ts = [Fraction(k, points) for k in range(points + 1)]
+    matches = [(t, image) for t in ts if (image := unit.scale(t)) in lattice]  # the offset L(w) cancels
+    return EmbedReport(index, len(ts), len(ss), tuple(matches))
 
 
 # -- finite balls -----------------------------------------------------------------
